@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
-use eureka_sim::{arch, engine, SimConfig};
+use eureka_sim::{arch, engine, JobSpec, SimConfig};
 
 pub mod serve;
 
@@ -31,36 +31,10 @@ pub enum Command {
         /// `table1`, `table2`, `fig09`, `fig11`, `fig12`, `fig13`,
         /// `fig14` or `ablations`.
         name: String,
-        /// Emit CSV instead of the text table.
-        csv: bool,
-        /// Use reduced sampling.
-        fast: bool,
-        /// Simulation worker threads (`None` = all cores).
-        jobs: Option<usize>,
-        /// Write a Chrome-trace JSON of the run here.
-        trace_out: Option<String>,
-        /// Write a metrics-registry JSON snapshot here.
-        metrics_out: Option<String>,
-        /// Diagnostic verbosity (0, 1 = `-v`, 2 = `-vv`).
-        verbose: u8,
-        /// Extra attempts per failed work unit (0 = fail immediately).
-        retries: u32,
-        /// Persist completed unit results under this directory.
-        checkpoint_dir: Option<String>,
-        /// Replay completed units from `checkpoint_dir` before executing.
-        resume: bool,
-        /// Persist canonical tile results under this directory.
-        store_dir: Option<String>,
-        /// Disable the tile-result store (even the in-process hot tier).
-        no_store: bool,
-        /// Stream the run-event JSONL here (`-` = stdout).
-        events_out: Option<String>,
-        /// Progress-line policy (`None` = auto: on iff stderr is a tty).
-        progress: Option<bool>,
-        /// Append the run-ledger record under this directory.
-        ledger_dir: Option<String>,
-        /// Skip the run-ledger append entirely.
-        no_ledger: bool,
+        /// The flags every simulation run takes.
+        run: RunOpts,
+        /// CSV, telemetry exports and fault tolerance.
+        batch: BatchOpts,
     },
     /// Compile one layer's (synthetic) pruned weights to the offline
     /// format and report compression/cycle statistics.
@@ -81,67 +55,27 @@ pub enum Command {
     },
     /// Simulate one workload on one architecture.
     Simulate {
-        /// Benchmark name.
-        benchmark: Benchmark,
-        /// Pruning level.
-        pruning: PruningLevel,
-        /// Architecture registry name.
-        arch: String,
-        /// Batch size.
-        batch: usize,
-        /// Use reduced sampling.
-        fast: bool,
-        /// Emit the per-layer CSV.
-        csv: bool,
-        /// Simulation worker threads (`None` = all cores).
-        jobs: Option<usize>,
-        /// Write a Chrome-trace JSON of the run here.
-        trace_out: Option<String>,
-        /// Write a metrics-registry JSON snapshot here.
-        metrics_out: Option<String>,
-        /// Diagnostic verbosity (0, 1 = `-v`, 2 = `-vv`).
-        verbose: u8,
+        /// What to simulate, on which architecture.
+        workload: WorkloadArgs,
+        /// The flags every simulation run takes.
+        run: RunOpts,
+        /// CSV, telemetry exports and fault tolerance.
+        batch: BatchOpts,
         /// Keep going past failed layers: emit the surviving layers plus
         /// a structured failure report instead of aborting.
         keep_going: bool,
         /// With `keep_going`, fail anyway once more than this many layers
         /// failed.
         max_failures: Option<u64>,
-        /// Extra attempts per failed work unit (0 = fail immediately).
-        retries: u32,
-        /// Persist completed unit results under this directory.
-        checkpoint_dir: Option<String>,
-        /// Replay completed units from `checkpoint_dir` before executing.
-        resume: bool,
-        /// Persist canonical tile results under this directory.
-        store_dir: Option<String>,
-        /// Disable the tile-result store (even the in-process hot tier).
-        no_store: bool,
-        /// Stream the run-event JSONL here (`-` = stdout).
-        events_out: Option<String>,
-        /// Progress-line policy (`None` = auto: on iff stderr is a tty).
-        progress: Option<bool>,
-        /// Append the run-ledger record under this directory.
-        ledger_dir: Option<String>,
-        /// Skip the run-ledger append entirely.
-        no_ledger: bool,
     },
     /// Profile one workload on one architecture: cycle attribution
     /// (stall taxonomy, per-row heatmap, worst tiles, SUDS displacement)
     /// plus optional machine-readable exports.
     Profile {
-        /// Benchmark name.
-        benchmark: Benchmark,
-        /// Pruning level.
-        pruning: PruningLevel,
-        /// Architecture registry name.
-        arch: String,
-        /// Batch size.
-        batch: usize,
-        /// Use reduced sampling.
-        fast: bool,
-        /// Simulation worker threads (`None` = all cores).
-        jobs: Option<usize>,
+        /// What to profile, on which architecture.
+        workload: WorkloadArgs,
+        /// The flags every simulation run takes.
+        run: RunOpts,
         /// Write the profile JSON here (`-` = stdout).
         json_out: Option<String>,
         /// Write the per-row utilization heatmap CSV here (`-` = stdout).
@@ -152,20 +86,6 @@ pub enum Command {
         bench_json: Option<String>,
         /// How many worst tiles to keep per layer.
         top_tiles: usize,
-        /// Diagnostic verbosity (0, 1 = `-v`, 2 = `-vv`).
-        verbose: u8,
-        /// Persist canonical tile results under this directory.
-        store_dir: Option<String>,
-        /// Disable the tile-result store (even the in-process hot tier).
-        no_store: bool,
-        /// Stream the run-event JSONL here (`-` = stdout).
-        events_out: Option<String>,
-        /// Progress-line policy (`None` = auto: on iff stderr is a tty).
-        progress: Option<bool>,
-        /// Append the run-ledger record under this directory.
-        ledger_dir: Option<String>,
-        /// Skip the run-ledger append entirely.
-        no_ledger: bool,
     },
     /// List the recorded run-ledger trajectory.
     BenchList {
@@ -207,52 +127,13 @@ pub enum Command {
     },
     /// Run the resident job service on a Unix socket (JSON-lines
     /// protocol: submit/status/cancel/drain/health/shutdown).
-    Serve {
-        /// Unix socket path to listen on.
-        socket: String,
-        /// Write-ahead job journal directory (crash recovery).
-        journal_dir: String,
-        /// Persist completed unit results here (resume across restarts).
-        checkpoint_dir: Option<String>,
-        /// Persist canonical tile results here.
-        store_dir: Option<String>,
-        /// Admission queue bound; beyond it submissions shed.
-        capacity: usize,
-        /// Default per-job deadline in ms (0 = none).
-        deadline_ms: u64,
-        /// Simulation worker threads per job (`None` = 1).
-        jobs: Option<usize>,
-        /// Use reduced sampling for served jobs.
-        fast: bool,
-        /// Rewrite a Prometheus text exposition here after every
-        /// connection and on exit.
-        metrics_out: Option<String>,
-        /// End-to-end latency budget in µs; arms the exit SLA summary
-        /// and its run-ledger record.
-        sla_budget_us: Option<u64>,
-        /// Flight-recorder dump directory (`None` = `results`).
-        flightrec_dir: Option<String>,
-        /// Run-ledger directory for the SLA record.
-        ledger_dir: Option<String>,
-        /// Skip the SLA ledger append.
-        no_ledger: bool,
-    },
+    Serve(serve::ServeOpts),
     /// Submit one job to a running service and print the response.
     Submit {
         /// Unix socket path of the service.
         socket: String,
-        /// Benchmark name.
-        benchmark: Benchmark,
-        /// Pruning level.
-        pruning: PruningLevel,
-        /// Architecture registry name.
-        arch: String,
-        /// Batch size.
-        batch: usize,
-        /// Per-job deadline in ms (0 = the service default).
-        deadline_ms: u64,
-        /// Extra attempts per failed work unit.
-        retries: u32,
+        /// The job to submit.
+        spec: JobSpec,
         /// Poll until the job reaches a terminal state.
         wait: bool,
     },
@@ -272,6 +153,70 @@ pub enum Command {
         /// Print the raw JSON response line instead of the table.
         json: bool,
     },
+}
+
+/// The flags every simulation run takes (`figure`, `simulate`,
+/// `profile`). Parsed by one function and applied by one scope, so the
+/// three commands cannot drift apart.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RunOpts {
+    /// Use reduced sampling.
+    pub fast: bool,
+    /// Simulation worker threads (`None` = all cores).
+    pub jobs: Option<usize>,
+    /// Diagnostic verbosity (0, 1 = `-v`, 2 = `-vv`).
+    pub verbose: u8,
+    /// Persist canonical tile results under this directory.
+    pub store_dir: Option<String>,
+    /// Disable the tile-result store (even the in-process hot tier).
+    pub no_store: bool,
+    /// Stream the run-event JSONL here (`-` = stdout).
+    pub events_out: Option<String>,
+    /// Progress-line policy (`None` = auto: on iff stderr is a tty).
+    pub progress: Option<bool>,
+    /// Where the run-ledger record goes.
+    pub ledger: LedgerOpts,
+}
+
+/// The flags `figure` and `simulate` take on top of [`RunOpts`]: CSV
+/// output, telemetry exports and fault tolerance.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct BatchOpts {
+    /// Emit CSV instead of the text report.
+    pub csv: bool,
+    /// Write a Chrome-trace JSON of the run here.
+    pub trace_out: Option<String>,
+    /// Write a metrics-registry JSON snapshot here.
+    pub metrics_out: Option<String>,
+    /// Extra attempts per failed work unit (0 = fail immediately).
+    pub retries: u32,
+    /// Persist completed unit results under this directory.
+    pub checkpoint_dir: Option<String>,
+    /// Replay completed units from `checkpoint_dir` before executing.
+    pub resume: bool,
+}
+
+/// `--ledger-dir <dir>` / `--no-ledger`, shared by the simulation runs
+/// and `serve`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct LedgerOpts {
+    /// Append the run-ledger record under this directory.
+    pub dir: Option<String>,
+    /// Skip the run-ledger append entirely.
+    pub skip: bool,
+}
+
+/// The workload a `simulate` or `profile` run targets.
+#[derive(Clone, Debug, PartialEq)]
+pub struct WorkloadArgs {
+    /// Benchmark name.
+    pub benchmark: Benchmark,
+    /// Pruning level.
+    pub pruning: PruningLevel,
+    /// Architecture registry name.
+    pub arch: String,
+    /// Batch size.
+    pub batch: usize,
 }
 
 /// Usage text.
@@ -448,24 +393,250 @@ fn parse_benchmark(s: &str) -> Result<Benchmark, String> {
     }
 }
 
-fn parse_jobs(s: &str) -> Result<usize, String> {
-    let n: usize = s.parse().map_err(|e| format!("bad --jobs: {e}"))?;
-    if n == 0 {
-        return Err("--jobs must be positive".into());
-    }
-    Ok(n)
-}
-
-fn parse_retries(s: &str) -> Result<u32, String> {
-    s.parse().map_err(|e| format!("bad --retries: {e}"))
-}
-
 fn parse_pruning(s: &str) -> Result<PruningLevel, String> {
     match s.to_ascii_lowercase().as_str() {
         "dense" => Ok(PruningLevel::Dense),
         "cons" | "conservative" => Ok(PruningLevel::Conservative),
         "mod" | "moderate" => Ok(PruningLevel::Moderate),
         other => Err(format!("unknown pruning level '{other}'")),
+    }
+}
+
+/// Cursor over one subcommand's arguments.
+struct Args<'a> {
+    cmd: &'static str,
+    rest: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Args<'a> {
+    fn new(cmd: &'static str, rest: &'a [String]) -> Self {
+        let rest = rest.iter();
+        Args { cmd, rest }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.rest.next().map(String::as_str)
+    }
+
+    /// The argument following `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.rest
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} requires a value"))
+    }
+
+    /// The argument following `flag`, parsed as a number.
+    fn parse<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(flag)?
+            .parse()
+            .map_err(|e| format!("bad {flag}: {e}"))
+    }
+
+    /// The value of `--jobs`, which must be positive.
+    fn jobs(&mut self) -> Result<usize, String> {
+        match self.parse("--jobs")? {
+            0 => Err("--jobs must be positive".into()),
+            n => Ok(n),
+        }
+    }
+
+    fn unknown(&self, flag: &str) -> String {
+        format!("unknown flag '{flag}' for {}", self.cmd)
+    }
+}
+
+impl RunOpts {
+    /// Consumes `flag` (and its value) if it is one of these flags.
+    fn accept(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--fast" => self.fast = true,
+            "--jobs" => self.jobs = Some(args.jobs()?),
+            "-v" | "--verbose" => self.verbose = self.verbose.saturating_add(1),
+            "-vv" => self.verbose = self.verbose.saturating_add(2),
+            "--store-dir" => self.store_dir = Some(args.value(flag)?),
+            "--no-store" => self.no_store = true,
+            "--events-out" => self.events_out = Some(args.value(flag)?),
+            "--progress" => self.progress = Some(true),
+            "--no-progress" => self.progress = Some(false),
+            _ => return self.ledger.accept(flag, args),
+        }
+        Ok(true)
+    }
+
+    fn check(&self) -> Result<(), String> {
+        if self.no_store && self.store_dir.is_some() {
+            return Err("--no-store conflicts with --store-dir".into());
+        }
+        self.ledger.check()
+    }
+
+    fn sim_config(&self) -> SimConfig {
+        if self.fast {
+            SimConfig::fast()
+        } else {
+            SimConfig::paper_default()
+        }
+    }
+
+    fn sampling(&self) -> &'static str {
+        if self.fast {
+            "fast"
+        } else {
+            "paper"
+        }
+    }
+
+    fn events_to_stdout(&self) -> bool {
+        self.events_out.as_deref() == Some("-")
+    }
+}
+
+impl BatchOpts {
+    /// Consumes `flag` (and its value) if it is one of these flags.
+    fn accept(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--csv" => self.csv = true,
+            "--trace-out" => self.trace_out = Some(args.value(flag)?),
+            "--metrics-out" => self.metrics_out = Some(args.value(flag)?),
+            "--retries" => self.retries = args.parse(flag)?,
+            "--checkpoint-dir" => self.checkpoint_dir = Some(args.value(flag)?),
+            "--resume" => self.resume = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Checks these flags together with the shared `run` flags.
+    fn check(&self, run: &RunOpts) -> Result<(), String> {
+        if self.resume && self.checkpoint_dir.is_none() {
+            return Err("--resume requires --checkpoint-dir".into());
+        }
+        run.check()?;
+        if self.csv && run.events_to_stdout() {
+            return Err("--events-out - conflicts with --csv (both claim stdout)".into());
+        }
+        Ok(())
+    }
+}
+
+impl LedgerOpts {
+    /// Consumes `flag` (and its value) if it is one of these flags.
+    fn accept(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--ledger-dir" => self.dir = Some(args.value(flag)?),
+            "--no-ledger" => self.skip = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn check(&self) -> Result<(), String> {
+        if self.skip && self.dir.is_some() {
+            return Err("--no-ledger conflicts with --ledger-dir".into());
+        }
+        Ok(())
+    }
+
+    /// Appends `record`. An explicit `--ledger-dir` always wins,
+    /// `--no-ledger` always disables, and the `results/ledger` default
+    /// applies only when that directory already exists — so library
+    /// tests and checkouts without the results tree never grow one as a
+    /// side effect.
+    fn append(&self, record: &eureka_sim::LedgerRecord) -> Result<(), String> {
+        let default = std::path::Path::new("results/ledger");
+        let dir = match &self.dir {
+            _ if self.skip => return Ok(()),
+            Some(dir) => std::path::Path::new(dir),
+            None if default.is_dir() => default,
+            None => return Ok(()),
+        };
+        let path = eureka_sim::ledger::append(dir, record)?;
+        eureka_obs::info!("ledger: appended {}", path.display());
+        Ok(())
+    }
+}
+
+/// `--benchmark`/`--pruning`/`--arch`/`--batch` as given, before the
+/// required `--benchmark` is checked.
+struct WorkloadFlags {
+    benchmark: Option<Benchmark>,
+    pruning: PruningLevel,
+    arch: String,
+    batch: usize,
+}
+
+impl Default for WorkloadFlags {
+    fn default() -> Self {
+        WorkloadFlags {
+            benchmark: None,
+            pruning: PruningLevel::Moderate,
+            arch: "eureka-p4".into(),
+            batch: 32,
+        }
+    }
+}
+
+impl WorkloadFlags {
+    /// Consumes `flag` (and its value) if it is one of these flags.
+    fn accept(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--benchmark" => self.benchmark = Some(parse_benchmark(&args.value(flag)?)?),
+            "--pruning" => self.pruning = parse_pruning(&args.value(flag)?)?,
+            "--arch" => self.arch = args.value(flag)?,
+            "--batch" => self.batch = args.parse(flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Requires `--benchmark`; nothing else is checked.
+    fn finish(self, cmd: &str) -> Result<WorkloadArgs, String> {
+        Ok(WorkloadArgs {
+            benchmark: self
+                .benchmark
+                .ok_or_else(|| format!("{cmd} requires --benchmark"))?,
+            pruning: self.pruning,
+            arch: self.arch,
+            batch: self.batch,
+        })
+    }
+
+    /// [`WorkloadFlags::finish`], plus a known architecture and a
+    /// positive batch.
+    fn check(self, cmd: &str) -> Result<WorkloadArgs, String> {
+        let w = self.finish(cmd)?;
+        if arch::by_name(&w.arch).is_none() {
+            return Err(format!(
+                "unknown architecture '{}'; run `eureka archs`",
+                w.arch
+            ));
+        }
+        if w.batch == 0 {
+            return Err("--batch must be positive".into());
+        }
+        Ok(w)
+    }
+}
+
+impl WorkloadArgs {
+    fn workload(&self) -> Workload {
+        Workload::new(self.benchmark, self.pruning, self.batch)
+    }
+
+    /// Canonical ledger label for this workload.
+    fn label(&self, run: &RunOpts) -> String {
+        format!(
+            "{}|{}|batch{}|{}|arch={}",
+            self.benchmark.name(),
+            self.pruning.label(),
+            self.batch,
+            run.sampling(),
+            self.arch,
+        )
     }
 }
 
@@ -480,15 +651,15 @@ where
     I: IntoIterator<Item = S>,
     S: Into<String>,
 {
-    let args: Vec<String> = args.into_iter().map(Into::into).collect();
-    let Some(cmd) = args.first() else {
+    let argv: Vec<String> = args.into_iter().map(Into::into).collect();
+    let Some(cmd) = argv.first() else {
         return Ok(Command::Help);
     };
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "archs" => Ok(Command::Archs),
         "figure" => {
-            let name = args
+            let name = argv
                 .get(1)
                 .filter(|a| !a.starts_with("--"))
                 .ok_or("figure requires a name, e.g. `eureka figure fig11`")?
@@ -508,100 +679,25 @@ where
                     "unknown figure '{name}' (expected one of {known:?})"
                 ));
             }
-            let mut csv = false;
-            let mut fast = false;
-            let mut jobs = None;
-            let mut trace_out = None;
-            let mut metrics_out = None;
-            let mut verbose = 0u8;
-            let mut retries = 0u32;
-            let mut checkpoint_dir = None;
-            let mut resume = false;
-            let mut store_dir = None;
-            let mut no_store = false;
-            let mut events_out = None;
-            let mut progress = None;
-            let mut ledger_dir = None;
-            let mut no_ledger = false;
-            let mut it = args[2..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--csv" => csv = true,
-                    "--fast" => fast = true,
-                    "--jobs" => jobs = Some(parse_jobs(&value("--jobs")?)?),
-                    "--trace-out" => trace_out = Some(value("--trace-out")?),
-                    "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
-                    "-v" | "--verbose" => verbose = verbose.saturating_add(1),
-                    "-vv" => verbose = verbose.saturating_add(2),
-                    "--retries" => retries = parse_retries(&value("--retries")?)?,
-                    "--checkpoint-dir" => checkpoint_dir = Some(value("--checkpoint-dir")?),
-                    "--resume" => resume = true,
-                    "--store-dir" => store_dir = Some(value("--store-dir")?),
-                    "--no-store" => no_store = true,
-                    "--events-out" => events_out = Some(value("--events-out")?),
-                    "--progress" => progress = Some(true),
-                    "--no-progress" => progress = Some(false),
-                    "--ledger-dir" => ledger_dir = Some(value("--ledger-dir")?),
-                    "--no-ledger" => no_ledger = true,
-                    other => return Err(format!("unknown flag '{other}' for figure")),
+            let mut args = Args::new("figure", &argv[2..]);
+            let (mut run, mut batch) = (RunOpts::default(), BatchOpts::default());
+            while let Some(flag) = args.next() {
+                if !(run.accept(flag, &mut args)? || batch.accept(flag, &mut args)?) {
+                    return Err(args.unknown(flag));
                 }
             }
-            if resume && checkpoint_dir.is_none() {
-                return Err("--resume requires --checkpoint-dir".into());
-            }
-            if no_store && store_dir.is_some() {
-                return Err("--no-store conflicts with --store-dir".into());
-            }
-            if no_ledger && ledger_dir.is_some() {
-                return Err("--no-ledger conflicts with --ledger-dir".into());
-            }
-            if csv && events_out.as_deref() == Some("-") {
-                return Err("--events-out - conflicts with --csv (both claim stdout)".into());
-            }
-            Ok(Command::Figure {
-                name,
-                csv,
-                fast,
-                jobs,
-                trace_out,
-                metrics_out,
-                verbose,
-                retries,
-                checkpoint_dir,
-                resume,
-                store_dir,
-                no_store,
-                events_out,
-                progress,
-                ledger_dir,
-                no_ledger,
-            })
+            batch.check(&run)?;
+            Ok(Command::Figure { name, run, batch })
         }
         "compile" => {
-            let mut benchmark = None;
-            let mut layer = None;
-            let mut factor = 4usize;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--benchmark" => benchmark = Some(parse_benchmark(&value("--benchmark")?)?),
-                    "--layer" => layer = Some(value("--layer")?),
-                    "--factor" => {
-                        factor = value("--factor")?
-                            .parse()
-                            .map_err(|e| format!("bad --factor: {e}"))?;
-                    }
-                    other => return Err(format!("unknown flag '{other}' for compile")),
+            let mut args = Args::new("compile", &argv[1..]);
+            let (mut benchmark, mut layer, mut factor) = (None, None, 4usize);
+            while let Some(flag) = args.next() {
+                match flag {
+                    "--benchmark" => benchmark = Some(parse_benchmark(&args.value(flag)?)?),
+                    "--layer" => layer = Some(args.value(flag)?),
+                    "--factor" => factor = args.parse(flag)?,
+                    _ => return Err(args.unknown(flag)),
                 }
             }
             if !(1..=16).contains(&factor) {
@@ -614,19 +710,13 @@ where
             })
         }
         "trace" => {
-            let mut benchmark = None;
-            let mut layer = None;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--benchmark" => benchmark = Some(parse_benchmark(&value("--benchmark")?)?),
-                    "--layer" => layer = Some(value("--layer")?),
-                    other => return Err(format!("unknown flag '{other}' for trace")),
+            let mut args = Args::new("trace", &argv[1..]);
+            let (mut benchmark, mut layer) = (None, None);
+            while let Some(flag) = args.next() {
+                match flag {
+                    "--benchmark" => benchmark = Some(parse_benchmark(&args.value(flag)?)?),
+                    "--layer" => layer = Some(args.value(flag)?),
+                    _ => return Err(args.unknown(flag)),
                 }
             }
             Ok(Command::Trace {
@@ -635,192 +725,62 @@ where
             })
         }
         "simulate" => {
-            let mut benchmark = None;
-            let mut pruning = PruningLevel::Moderate;
-            let mut arch_name = "eureka-p4".to_string();
-            let mut batch = 32usize;
-            let mut fast = false;
-            let mut csv = false;
-            let mut jobs = None;
-            let mut trace_out = None;
-            let mut metrics_out = None;
-            let mut verbose = 0u8;
-            let mut keep_going = false;
-            let mut max_failures = None;
-            let mut retries = 0u32;
-            let mut checkpoint_dir = None;
-            let mut resume = false;
-            let mut store_dir = None;
-            let mut no_store = false;
-            let mut events_out = None;
-            let mut progress = None;
-            let mut ledger_dir = None;
-            let mut no_ledger = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--benchmark" => benchmark = Some(parse_benchmark(&value("--benchmark")?)?),
-                    "--pruning" => pruning = parse_pruning(&value("--pruning")?)?,
-                    "--arch" => arch_name = value("--arch")?,
-                    "--batch" => {
-                        batch = value("--batch")?
-                            .parse()
-                            .map_err(|e| format!("bad --batch: {e}"))?;
-                    }
-                    "--fast" => fast = true,
-                    "--csv" => csv = true,
-                    "--jobs" => jobs = Some(parse_jobs(&value("--jobs")?)?),
-                    "--trace-out" => trace_out = Some(value("--trace-out")?),
-                    "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
-                    "-v" | "--verbose" => verbose = verbose.saturating_add(1),
-                    "-vv" => verbose = verbose.saturating_add(2),
+            let mut args = Args::new("simulate", &argv[1..]);
+            let mut workload = WorkloadFlags::default();
+            let (mut run, mut batch) = (RunOpts::default(), BatchOpts::default());
+            let (mut keep_going, mut max_failures) = (false, None);
+            while let Some(flag) = args.next() {
+                if workload.accept(flag, &mut args)?
+                    || run.accept(flag, &mut args)?
+                    || batch.accept(flag, &mut args)?
+                {
+                    continue;
+                }
+                match flag {
                     "--keep-going" => keep_going = true,
-                    "--max-failures" => {
-                        max_failures = Some(
-                            value("--max-failures")?
-                                .parse()
-                                .map_err(|e| format!("bad --max-failures: {e}"))?,
-                        );
-                    }
-                    "--retries" => retries = parse_retries(&value("--retries")?)?,
-                    "--checkpoint-dir" => checkpoint_dir = Some(value("--checkpoint-dir")?),
-                    "--resume" => resume = true,
-                    "--store-dir" => store_dir = Some(value("--store-dir")?),
-                    "--no-store" => no_store = true,
-                    "--events-out" => events_out = Some(value("--events-out")?),
-                    "--progress" => progress = Some(true),
-                    "--no-progress" => progress = Some(false),
-                    "--ledger-dir" => ledger_dir = Some(value("--ledger-dir")?),
-                    "--no-ledger" => no_ledger = true,
-                    other => return Err(format!("unknown flag '{other}' for simulate")),
+                    "--max-failures" => max_failures = Some(args.parse(flag)?),
+                    _ => return Err(args.unknown(flag)),
                 }
             }
-            let benchmark = benchmark.ok_or("simulate requires --benchmark")?;
-            if arch::by_name(&arch_name).is_none() {
-                return Err(format!(
-                    "unknown architecture '{arch_name}'; run `eureka archs`"
-                ));
-            }
-            if batch == 0 {
-                return Err("--batch must be positive".into());
-            }
+            let workload = workload.check("simulate")?;
             if max_failures.is_some() && !keep_going {
                 return Err("--max-failures requires --keep-going".into());
             }
-            if resume && checkpoint_dir.is_none() {
-                return Err("--resume requires --checkpoint-dir".into());
-            }
-            if no_store && store_dir.is_some() {
-                return Err("--no-store conflicts with --store-dir".into());
-            }
-            if no_ledger && ledger_dir.is_some() {
-                return Err("--no-ledger conflicts with --ledger-dir".into());
-            }
-            if csv && events_out.as_deref() == Some("-") {
-                return Err("--events-out - conflicts with --csv (both claim stdout)".into());
-            }
+            batch.check(&run)?;
             Ok(Command::Simulate {
-                benchmark,
-                pruning,
-                arch: arch_name,
+                workload,
+                run,
                 batch,
-                fast,
-                csv,
-                jobs,
-                trace_out,
-                metrics_out,
-                verbose,
                 keep_going,
                 max_failures,
-                retries,
-                checkpoint_dir,
-                resume,
-                store_dir,
-                no_store,
-                events_out,
-                progress,
-                ledger_dir,
-                no_ledger,
             })
         }
         "profile" => {
-            let mut benchmark = None;
-            let mut pruning = PruningLevel::Moderate;
-            let mut arch_name = "eureka-p4".to_string();
-            let mut batch = 32usize;
-            let mut fast = false;
-            let mut jobs = None;
-            let mut json_out = None;
-            let mut heatmap_out = None;
-            let mut trace_out = None;
-            let mut bench_json = None;
+            let mut args = Args::new("profile", &argv[1..]);
+            let (mut workload, mut run) = (WorkloadFlags::default(), RunOpts::default());
+            let (mut json_out, mut heatmap_out, mut trace_out, mut bench_json) =
+                (None, None, None, None);
             let mut top_tiles = 5usize;
-            let mut verbose = 0u8;
-            let mut store_dir = None;
-            let mut no_store = false;
-            let mut events_out = None;
-            let mut progress = None;
-            let mut ledger_dir = None;
-            let mut no_ledger = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--benchmark" => benchmark = Some(parse_benchmark(&value("--benchmark")?)?),
-                    "--pruning" => pruning = parse_pruning(&value("--pruning")?)?,
-                    "--arch" => arch_name = value("--arch")?,
-                    "--batch" => {
-                        batch = value("--batch")?
-                            .parse()
-                            .map_err(|e| format!("bad --batch: {e}"))?;
-                    }
-                    "--fast" => fast = true,
-                    "--jobs" => jobs = Some(parse_jobs(&value("--jobs")?)?),
-                    "--json" => json_out = Some(value("--json")?),
-                    "--heatmap" => heatmap_out = Some(value("--heatmap")?),
-                    "--trace-out" => trace_out = Some(value("--trace-out")?),
-                    "--bench-json" => bench_json = Some(value("--bench-json")?),
-                    "--top-tiles" => {
-                        top_tiles = value("--top-tiles")?
-                            .parse()
-                            .map_err(|e| format!("bad --top-tiles: {e}"))?;
-                    }
-                    "-v" | "--verbose" => verbose = verbose.saturating_add(1),
-                    "-vv" => verbose = verbose.saturating_add(2),
-                    "--store-dir" => store_dir = Some(value("--store-dir")?),
-                    "--no-store" => no_store = true,
-                    "--events-out" => events_out = Some(value("--events-out")?),
-                    "--progress" => progress = Some(true),
-                    "--no-progress" => progress = Some(false),
-                    "--ledger-dir" => ledger_dir = Some(value("--ledger-dir")?),
-                    "--no-ledger" => no_ledger = true,
-                    other => return Err(format!("unknown flag '{other}' for profile")),
+            while let Some(flag) = args.next() {
+                if workload.accept(flag, &mut args)? || run.accept(flag, &mut args)? {
+                    continue;
+                }
+                match flag {
+                    "--json" => json_out = Some(args.value(flag)?),
+                    "--heatmap" => heatmap_out = Some(args.value(flag)?),
+                    "--trace-out" => trace_out = Some(args.value(flag)?),
+                    "--bench-json" => bench_json = Some(args.value(flag)?),
+                    "--top-tiles" => top_tiles = args.parse(flag)?,
+                    _ => return Err(args.unknown(flag)),
                 }
             }
-            let benchmark = benchmark.ok_or("profile requires --benchmark")?;
-            if arch::by_name(&arch_name).is_none() {
-                return Err(format!(
-                    "unknown architecture '{arch_name}'; run `eureka archs`"
-                ));
-            }
-            if batch == 0 {
-                return Err("--batch must be positive".into());
-            }
+            let workload = workload.check("profile")?;
             let stdout_exports = [
                 &json_out,
                 &heatmap_out,
                 &trace_out,
                 &bench_json,
-                &events_out,
+                &run.events_out,
             ]
             .iter()
             .filter(|o| o.as_deref() == Some("-"))
@@ -828,72 +788,42 @@ where
             if stdout_exports > 1 {
                 return Err("at most one profile export may write to stdout ('-')".into());
             }
-            if no_store && store_dir.is_some() {
-                return Err("--no-store conflicts with --store-dir".into());
-            }
-            if no_ledger && ledger_dir.is_some() {
-                return Err("--no-ledger conflicts with --ledger-dir".into());
-            }
+            run.check()?;
             Ok(Command::Profile {
-                benchmark,
-                pruning,
-                arch: arch_name,
-                batch,
-                fast,
-                jobs,
+                workload,
+                run,
                 json_out,
                 heatmap_out,
                 trace_out,
                 bench_json,
                 top_tiles,
-                verbose,
-                store_dir,
-                no_store,
-                events_out,
-                progress,
-                ledger_dir,
-                no_ledger,
             })
         }
-        "bench" => match args.get(1).map(String::as_str) {
+        "bench" => match argv.get(1).map(String::as_str) {
             Some("list") => {
+                let mut args = Args::new("bench list", &argv[2..]);
                 let mut ledger_dir = None;
-                let mut it = args[2..].iter();
-                while let Some(a) = it.next() {
-                    let mut value = |flag: &str| {
-                        it.next()
-                            .cloned()
-                            .ok_or_else(|| format!("{flag} requires a value"))
-                    };
-                    match a.as_str() {
-                        "--ledger-dir" => ledger_dir = Some(value("--ledger-dir")?),
-                        other => return Err(format!("unknown flag '{other}' for bench list")),
+                while let Some(flag) = args.next() {
+                    match flag {
+                        "--ledger-dir" => ledger_dir = Some(args.value(flag)?),
+                        _ => return Err(args.unknown(flag)),
                     }
                 }
                 Ok(Command::BenchList { ledger_dir })
             }
             Some("diff") => {
+                let mut args = Args::new("bench diff", &argv[2..]);
                 let mut paths = Vec::new();
                 let mut max_regress = 2.0f64;
-                let mut it = args[2..].iter();
-                while let Some(a) = it.next() {
-                    let mut value = |flag: &str| {
-                        it.next()
-                            .cloned()
-                            .ok_or_else(|| format!("{flag} requires a value"))
-                    };
-                    match a.as_str() {
+                while let Some(flag) = args.next() {
+                    match flag {
                         "--max-regress" => {
-                            max_regress = value("--max-regress")?
-                                .parse()
-                                .map_err(|e| format!("bad --max-regress: {e}"))?;
+                            max_regress = args.parse(flag)?;
                             if !max_regress.is_finite() || max_regress < 0.0 {
                                 return Err("--max-regress must be a non-negative percent".into());
                             }
                         }
-                        flag if flag.starts_with("--") => {
-                            return Err(format!("unknown flag '{flag}' for bench diff"));
-                        }
+                        flag if flag.starts_with("--") => return Err(args.unknown(flag)),
                         path => paths.push(path.to_string()),
                     }
                 }
@@ -911,37 +841,20 @@ where
             _ => Err("bench requires a subcommand: `list` or `diff <a> <b>`".into()),
         },
         "verify" => {
-            let mut cases = 200u32;
-            let mut seed = 42u64;
-            let mut arch_name = None;
-            let mut corpus_dir = None;
-            let mut replay = None;
-            let mut fault_matrix = false;
-            let mut chaos = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--cases" => {
-                        cases = value("--cases")?
-                            .parse()
-                            .map_err(|e| format!("bad --cases: {e}"))?;
-                    }
-                    "--seed" => {
-                        seed = value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("bad --seed: {e}"))?;
-                    }
-                    "--arch" => arch_name = Some(value("--arch")?),
-                    "--corpus-dir" => corpus_dir = Some(value("--corpus-dir")?),
-                    "--replay" => replay = Some(value("--replay")?),
+            let mut args = Args::new("verify", &argv[1..]);
+            let (mut cases, mut seed) = (200u32, 42u64);
+            let (mut arch_name, mut corpus_dir, mut replay) = (None, None, None);
+            let (mut fault_matrix, mut chaos) = (false, false);
+            while let Some(flag) = args.next() {
+                match flag {
+                    "--cases" => cases = args.parse(flag)?,
+                    "--seed" => seed = args.parse(flag)?,
+                    "--arch" => arch_name = Some(args.value(flag)?),
+                    "--corpus-dir" => corpus_dir = Some(args.value(flag)?),
+                    "--replay" => replay = Some(args.value(flag)?),
                     "--fault-matrix" => fault_matrix = true,
                     "--chaos" => chaos = true,
-                    other => return Err(format!("unknown flag '{other}' for verify")),
+                    _ => return Err(args.unknown(flag)),
                 }
             }
             if cases == 0 && replay.is_none() && !fault_matrix {
@@ -963,158 +876,100 @@ where
             })
         }
         "serve" => {
-            let mut socket = "eureka.sock".to_string();
-            let mut journal_dir = "eureka-journal".to_string();
-            let mut checkpoint_dir = None;
-            let mut store_dir = None;
-            let mut capacity = 8usize;
-            let mut deadline_ms = 0u64;
-            let mut jobs = None;
-            let mut fast = false;
-            let mut metrics_out = None;
-            let mut sla_budget_us = None;
-            let mut flightrec_dir = None;
-            let mut ledger_dir = None;
-            let mut no_ledger = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--socket" => socket = value("--socket")?,
-                    "--journal-dir" => journal_dir = value("--journal-dir")?,
-                    "--checkpoint-dir" => checkpoint_dir = Some(value("--checkpoint-dir")?),
-                    "--store-dir" => store_dir = Some(value("--store-dir")?),
+            let mut args = Args::new("serve", &argv[1..]);
+            let mut opts = serve::ServeOpts {
+                socket: "eureka.sock".into(),
+                journal_dir: "eureka-journal".into(),
+                checkpoint_dir: None,
+                store_dir: None,
+                capacity: 8,
+                deadline_ms: 0,
+                jobs: 1,
+                fast: false,
+                metrics_out: None,
+                sla_budget_us: None,
+                flightrec_dir: "results".into(),
+                ledger: LedgerOpts::default(),
+            };
+            while let Some(flag) = args.next() {
+                if opts.ledger.accept(flag, &mut args)? {
+                    continue;
+                }
+                match flag {
+                    "--socket" => opts.socket = args.value(flag)?,
+                    "--journal-dir" => opts.journal_dir = args.value(flag)?,
+                    "--checkpoint-dir" => opts.checkpoint_dir = Some(args.value(flag)?),
+                    "--store-dir" => opts.store_dir = Some(args.value(flag)?),
                     "--capacity" => {
-                        capacity = value("--capacity")?
-                            .parse()
-                            .map_err(|e| format!("bad --capacity: {e}"))?;
-                        if capacity == 0 {
+                        opts.capacity = args.parse(flag)?;
+                        if opts.capacity == 0 {
                             return Err("--capacity must be positive".into());
                         }
                     }
-                    "--deadline-ms" => {
-                        deadline_ms = value("--deadline-ms")?
-                            .parse()
-                            .map_err(|e| format!("bad --deadline-ms: {e}"))?;
-                    }
-                    "--jobs" => jobs = Some(parse_jobs(&value("--jobs")?)?),
-                    "--fast" => fast = true,
-                    "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
-                    "--sla-budget-us" => {
-                        let budget: u64 = value("--sla-budget-us")?
-                            .parse()
-                            .map_err(|e| format!("bad --sla-budget-us: {e}"))?;
-                        if budget == 0 {
-                            return Err("--sla-budget-us must be positive".into());
-                        }
-                        sla_budget_us = Some(budget);
-                    }
-                    "--flightrec-dir" => flightrec_dir = Some(value("--flightrec-dir")?),
-                    "--ledger-dir" => ledger_dir = Some(value("--ledger-dir")?),
-                    "--no-ledger" => no_ledger = true,
-                    other => return Err(format!("unknown flag '{other}' for serve")),
+                    "--deadline-ms" => opts.deadline_ms = args.parse(flag)?,
+                    "--jobs" => opts.jobs = args.jobs()?,
+                    "--fast" => opts.fast = true,
+                    "--metrics-out" => opts.metrics_out = Some(args.value(flag)?),
+                    "--sla-budget-us" => match args.parse(flag)? {
+                        0 => return Err("--sla-budget-us must be positive".into()),
+                        budget => opts.sla_budget_us = Some(budget),
+                    },
+                    "--flightrec-dir" => opts.flightrec_dir = args.value(flag)?,
+                    _ => return Err(args.unknown(flag)),
                 }
             }
-            Ok(Command::Serve {
-                socket,
-                journal_dir,
-                checkpoint_dir,
-                store_dir,
-                capacity,
-                deadline_ms,
-                jobs,
-                fast,
-                metrics_out,
-                sla_budget_us,
-                flightrec_dir,
-                ledger_dir,
-                no_ledger,
-            })
+            opts.ledger.check()?;
+            Ok(Command::Serve(opts))
         }
         "submit" => {
-            let mut socket = "eureka.sock".to_string();
-            let mut benchmark = None;
-            let mut pruning = PruningLevel::Moderate;
-            let mut arch_name = "eureka-p4".to_string();
-            let mut batch = 32usize;
-            let mut deadline_ms = 0u64;
-            let mut retries = 0u32;
+            let mut args = Args::new("submit", &argv[1..]);
+            let mut workload = WorkloadFlags::default();
+            let (mut socket, mut deadline_ms, mut retries) = ("eureka.sock".to_string(), 0, 0);
             let mut wait = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--socket" => socket = value("--socket")?,
-                    "--benchmark" => benchmark = Some(parse_benchmark(&value("--benchmark")?)?),
-                    "--pruning" => pruning = parse_pruning(&value("--pruning")?)?,
-                    "--arch" => arch_name = value("--arch")?,
-                    "--batch" => {
-                        batch = value("--batch")?
-                            .parse()
-                            .map_err(|e| format!("bad --batch: {e}"))?;
-                    }
-                    "--deadline-ms" => {
-                        deadline_ms = value("--deadline-ms")?
-                            .parse()
-                            .map_err(|e| format!("bad --deadline-ms: {e}"))?;
-                    }
-                    "--retries" => retries = parse_retries(&value("--retries")?)?,
+            while let Some(flag) = args.next() {
+                if workload.accept(flag, &mut args)? {
+                    continue;
+                }
+                match flag {
+                    "--socket" => socket = args.value(flag)?,
+                    "--deadline-ms" => deadline_ms = args.parse(flag)?,
+                    "--retries" => retries = args.parse(flag)?,
                     "--wait" => wait = true,
-                    other => return Err(format!("unknown flag '{other}' for submit")),
+                    _ => return Err(args.unknown(flag)),
                 }
             }
-            let benchmark = benchmark.ok_or("submit requires --benchmark")?;
-            Ok(Command::Submit {
-                socket,
-                benchmark,
-                pruning,
-                arch: arch_name,
-                batch,
+            // The service validates the architecture and batch itself.
+            let w = workload.finish("submit")?;
+            let spec = JobSpec {
+                benchmark: w.benchmark,
+                pruning: w.pruning,
+                batch: w.batch,
+                arch: w.arch,
                 deadline_ms,
                 retries,
-                wait,
-            })
+            };
+            Ok(Command::Submit { socket, spec, wait })
         }
         "drain" => {
-            let mut socket = "eureka.sock".to_string();
-            let mut shutdown = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--socket" => socket = value("--socket")?,
+            let mut args = Args::new("drain", &argv[1..]);
+            let (mut socket, mut shutdown) = ("eureka.sock".to_string(), false);
+            while let Some(flag) = args.next() {
+                match flag {
+                    "--socket" => socket = args.value(flag)?,
                     "--shutdown" => shutdown = true,
-                    other => return Err(format!("unknown flag '{other}' for drain")),
+                    _ => return Err(args.unknown(flag)),
                 }
             }
             Ok(Command::Drain { socket, shutdown })
         }
         "stats" => {
-            let mut socket = "eureka.sock".to_string();
-            let mut json = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--socket" => socket = value("--socket")?,
+            let mut args = Args::new("stats", &argv[1..]);
+            let (mut socket, mut json) = ("eureka.sock".to_string(), false);
+            while let Some(flag) = args.next() {
+                match flag {
+                    "--socket" => socket = args.value(flag)?,
                     "--json" => json = true,
-                    other => return Err(format!("unknown flag '{other}' for stats")),
+                    _ => return Err(args.unknown(flag)),
                 }
             }
             Ok(Command::Stats { socket, json })
@@ -1123,109 +978,36 @@ where
     }
 }
 
-/// Telemetry wiring shared by `figure` and `simulate`: sets the
-/// process verbosity, arms span recording when a trace is requested,
-/// and writes the `--trace-out` / `--metrics-out` exports afterwards.
-struct Telemetry<'a> {
-    trace_out: Option<&'a str>,
-    metrics_out: Option<&'a str>,
-    verbose: u8,
+/// Applies a simulation run's shared flags for the length of one
+/// command. Entering takes effect in a fixed order: the runner globals,
+/// the event bus and progress policy, the log verbosity, and — for the
+/// batch runs — the metrics reset and span arming. [`RunScope::finish`]
+/// writes the batch exports and then appends the ledger record.
+/// Dropping the scope, after `finish` or on any early error, detaches
+/// the event bus and then restores the runner globals the flags set, so
+/// no command's flags leak into library callers or tests in the same
+/// process. The emitted-event count survives the drop (until the next
+/// run arms the bus).
+struct RunScope<'a> {
+    run: &'a RunOpts,
+    batch: Option<&'a BatchOpts>,
+    started: std::time::Instant,
+    /// `--jobs` set the process-wide worker count.
+    set_jobs: bool,
+    /// Retry, checkpoint or store flags set their process-wide defaults.
+    set_runner: bool,
 }
 
-impl<'a> Telemetry<'a> {
-    fn begin(trace_out: Option<&'a str>, metrics_out: Option<&'a str>, verbose: u8) -> Self {
-        eureka_obs::log::set_verbosity(verbose);
-        eureka_obs::metrics::reset();
-        if trace_out.is_some() {
-            eureka_obs::span::clear();
-            eureka_obs::span::set_enabled(true);
-        }
-        Telemetry {
-            trace_out,
-            metrics_out,
-            verbose,
-        }
-    }
-
-    fn finish(self) -> Result<(), String> {
-        if let Some(path) = self.trace_out {
-            eureka_obs::span::set_enabled(false);
-            let json = eureka_obs::chrome::export_trace_json();
-            std::fs::write(path, &json)
-                .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
-            eureka_obs::info!("trace: {} bytes to {path}", json.len());
-        }
-        if let Some(path) = self.metrics_out {
-            let json = eureka_obs::metrics::snapshot_json(true);
-            std::fs::write(path, &json)
-                .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
-            eureka_obs::info!("metrics: {} bytes to {path}", json.len());
-        }
-        if self.verbose >= 1 {
-            eureka_obs::info!("{}", eureka_obs::metrics::human_summary());
-        }
-        Ok(())
-    }
-}
-
-/// RAII guard for the process-wide retry/checkpoint/store settings
-/// consumed by `Runner::default()`. Armed only when the user asked for
-/// fault tolerance or a non-default store configuration; resets every
-/// setting on drop so one command's flags never leak into library
-/// callers or tests running in the same process.
-struct RunnerGlobals {
-    armed: bool,
-}
-
-impl RunnerGlobals {
-    fn apply(
-        retries: u32,
-        checkpoint_dir: Option<&str>,
-        resume: bool,
-        store_dir: Option<&str>,
-        no_store: bool,
-    ) -> Self {
-        let armed = retries > 0 || checkpoint_dir.is_some() || store_dir.is_some() || no_store;
-        if retries > 0 {
-            eureka_sim::runner::set_global_retry(eureka_sim::RetryPolicy::transient(retries + 1));
-        }
-        if let Some(dir) = checkpoint_dir {
-            eureka_sim::runner::set_global_checkpoint(Some((
-                std::path::PathBuf::from(dir),
-                resume,
-            )));
-        }
-        if store_dir.is_some() || no_store {
-            eureka_sim::runner::set_global_store(
-                store_dir.map(std::path::PathBuf::from),
-                !no_store,
-            );
-        }
-        Self { armed }
-    }
-}
-
-impl Drop for RunnerGlobals {
-    fn drop(&mut self) {
-        if self.armed {
-            eureka_sim::runner::set_global_retry(eureka_sim::RetryPolicy::NONE);
-            eureka_sim::runner::set_global_checkpoint(None);
-            eureka_sim::runner::set_global_store(None, true);
-        }
-    }
-}
-
-/// RAII guard for the run-event bus and the progress reporter: arms the
-/// JSONL writer (file or stdout for `-`) and applies the progress
-/// policy on construction, then finalizes the progress line and
-/// flushes/detaches the writer on drop — including every early-return
-/// error path. The emitted-event count survives the drop (until the
-/// next arm), so the ledger append can read it afterwards.
-struct EventsGuard;
-
-impl EventsGuard {
-    fn begin(events_out: Option<&str>, progress: Option<bool>) -> Result<Self, String> {
-        let writer: Option<Box<dyn std::io::Write + Send>> = match events_out {
+impl<'a> RunScope<'a> {
+    /// `batch` is `None` for `profile`, which takes no batch flags: it
+    /// runs without retries or checkpoints and leaves the metrics
+    /// registry as it found it.
+    fn enter(run: &'a RunOpts, batch: Option<&'a BatchOpts>) -> Result<Self, String> {
+        use eureka_obs::progress::{self, Mode};
+        use eureka_sim::runner;
+        // Open the events file first: a bad path then fails the command
+        // before any process-wide setting changes.
+        let writer: Option<Box<dyn std::io::Write + Send>> = match run.events_out.as_deref() {
             None => None,
             Some("-") => Some(Box::new(std::io::stdout())),
             Some(path) => {
@@ -1234,84 +1016,114 @@ impl EventsGuard {
                 Some(Box::new(std::io::BufWriter::new(file)))
             }
         };
-        eureka_obs::events::arm(writer);
-        eureka_obs::progress::set_mode(match progress {
-            None => eureka_obs::progress::Mode::Auto,
-            Some(true) => eureka_obs::progress::Mode::On,
-            Some(false) => eureka_obs::progress::Mode::Off,
+        let (retries, checkpoint_dir, resume) = batch.map_or((0, None, false), |b| {
+            (b.retries, b.checkpoint_dir.as_deref(), b.resume)
         });
-        Ok(EventsGuard)
+        if let Some(n) = run.jobs {
+            runner::set_global_jobs(n);
+        }
+        if retries > 0 {
+            runner::set_global_retry(eureka_sim::RetryPolicy::transient(retries + 1));
+        }
+        if let Some(dir) = checkpoint_dir {
+            runner::set_global_checkpoint(Some((dir.into(), resume)));
+        }
+        let store_flag = run.store_dir.is_some() || run.no_store;
+        if store_flag {
+            runner::set_global_store(run.store_dir.as_ref().map(Into::into), !run.no_store);
+        }
+        let scope = RunScope {
+            run,
+            batch,
+            started: std::time::Instant::now(),
+            set_jobs: run.jobs.is_some(),
+            set_runner: retries > 0 || checkpoint_dir.is_some() || store_flag,
+        };
+        eureka_obs::events::arm(writer);
+        progress::set_mode(match run.progress {
+            None => Mode::Auto,
+            Some(true) => Mode::On,
+            Some(false) => Mode::Off,
+        });
+        eureka_obs::log::set_verbosity(run.verbose);
+        if let Some(batch) = batch {
+            eureka_obs::metrics::reset();
+            if batch.trace_out.is_some() {
+                eureka_obs::span::clear();
+                eureka_obs::span::set_enabled(true);
+            }
+        }
+        Ok(scope)
+    }
+
+    /// Ends a successful run: writes the `--trace-out`/`--metrics-out`
+    /// exports, appends the ledger record, and returns `out` — or
+    /// nothing when the event stream owns stdout.
+    fn finish(
+        self,
+        kind: &str,
+        label: String,
+        total_cycles: Option<u64>,
+        speedup_vs_dense: Option<f64>,
+        out: String,
+    ) -> Result<String, String> {
+        if let Some(batch) = self.batch {
+            batch.export(self.run.verbose)?;
+        }
+        self.run.ledger.append(&eureka_sim::LedgerRecord {
+            kind: kind.to_string(),
+            label,
+            total_cycles,
+            speedup_vs_dense,
+            wall_ms: self.started.elapsed().as_secs_f64() * 1e3,
+            events: eureka_obs::events::emitted_count(),
+            sla: None,
+        })?;
+        Ok(if self.run.events_to_stdout() {
+            String::new()
+        } else {
+            out
+        })
     }
 }
 
-impl Drop for EventsGuard {
+impl Drop for RunScope<'_> {
     fn drop(&mut self) {
+        use eureka_sim::runner;
         eureka_obs::progress::set_mode(eureka_obs::progress::Mode::Off);
         eureka_obs::events::disarm();
-    }
-}
-
-/// Where to append the run ledger: an explicit `--ledger-dir` always
-/// wins, `--no-ledger` always disables, and the `results/ledger`
-/// default applies only when that directory already exists — so library
-/// tests and checkouts without the results tree never grow one as a
-/// side effect.
-fn resolve_ledger_dir(ledger_dir: Option<&str>, no_ledger: bool) -> Option<std::path::PathBuf> {
-    if no_ledger {
-        return None;
-    }
-    match ledger_dir {
-        Some(dir) => Some(std::path::PathBuf::from(dir)),
-        None => {
-            let default = std::path::Path::new("results/ledger");
-            default.is_dir().then(|| default.to_path_buf())
+        if self.set_jobs {
+            runner::set_global_jobs(0);
+        }
+        if self.set_runner {
+            runner::set_global_retry(eureka_sim::RetryPolicy::NONE);
+            runner::set_global_checkpoint(None);
+            runner::set_global_store(None, true);
         }
     }
 }
 
-/// Appends one run-ledger record (a no-op when [`resolve_ledger_dir`]
-/// yields nothing). Reads the event count off the bus, so call it after
-/// the run finished but within the same command.
-fn append_ledger(
-    ledger_dir: Option<&str>,
-    no_ledger: bool,
-    kind: &str,
-    label: String,
-    total_cycles: Option<u64>,
-    speedup_vs_dense: Option<f64>,
-    started: std::time::Instant,
-) -> Result<(), String> {
-    let Some(dir) = resolve_ledger_dir(ledger_dir, no_ledger) else {
-        return Ok(());
-    };
-    let record = eureka_sim::LedgerRecord {
-        kind: kind.to_string(),
-        label,
-        total_cycles,
-        speedup_vs_dense,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        events: eureka_obs::events::emitted_count(),
-        sla: None,
-    };
-    let path = eureka_sim::ledger::append(&dir, &record)?;
-    eureka_obs::info!("ledger: appended {}", path.display());
-    Ok(())
-}
-
-/// Canonical ledger label for a simulate/profile-shaped run.
-fn run_label(
-    benchmark: Benchmark,
-    pruning: PruningLevel,
-    batch: usize,
-    fast: bool,
-    arch_name: &str,
-) -> String {
-    format!(
-        "{}|{}|batch{batch}|{}|arch={arch_name}",
-        benchmark.name(),
-        pruning.label(),
-        if fast { "fast" } else { "paper" },
-    )
+impl BatchOpts {
+    /// Writes the telemetry exports; `-v` adds the metrics summary.
+    fn export(&self, verbose: u8) -> Result<(), String> {
+        if let Some(path) = &self.trace_out {
+            eureka_obs::span::set_enabled(false);
+            let json = eureka_obs::chrome::export_trace_json();
+            std::fs::write(path, &json)
+                .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
+            eureka_obs::info!("trace: {} bytes to {path}", json.len());
+        }
+        if let Some(path) = &self.metrics_out {
+            let json = eureka_obs::metrics::snapshot_json(true);
+            std::fs::write(path, &json)
+                .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
+            eureka_obs::info!("metrics: {} bytes to {path}", json.len());
+        }
+        if verbose >= 1 {
+            eureka_obs::info!("{}", eureka_obs::metrics::human_summary());
+        }
+        Ok(())
+    }
 }
 
 /// A failed run: the message plus the process exit code. `bench diff`
@@ -1440,41 +1252,15 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             }
             Ok(out)
         }
-        Command::Figure {
-            name,
-            csv,
-            fast,
-            jobs,
-            trace_out,
-            metrics_out,
-            verbose,
-            retries,
-            checkpoint_dir,
-            resume,
-            store_dir,
-            no_store,
-            events_out,
-            progress,
-            ledger_dir,
-            no_ledger,
-        } => {
-            if let Some(n) = jobs {
-                eureka_sim::runner::set_global_jobs(*n);
-            }
-            let _globals = RunnerGlobals::apply(
-                *retries,
-                checkpoint_dir.as_deref(),
-                *resume,
-                store_dir.as_deref(),
-                *no_store,
-            );
-            let wall_start = std::time::Instant::now();
-            let _events = EventsGuard::begin(events_out.as_deref(), *progress)?;
-            let tel = Telemetry::begin(trace_out.as_deref(), metrics_out.as_deref(), *verbose);
-            let cfg = if *fast {
-                SimConfig::fast()
-            } else {
-                SimConfig::paper_default()
+        Command::Figure { name, run, batch } => {
+            let scope = RunScope::enter(run, Some(batch))?;
+            let cfg = run.sim_config();
+            let render = |t: eureka_bench::FigTable| {
+                if batch.csv {
+                    t.to_csv()
+                } else {
+                    t.render()
+                }
             };
             let out = match name.as_str() {
                 "table1" => eureka_bench::table1(),
@@ -1488,43 +1274,20 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                         eureka_bench::ablations::sigma_sweep(&cfg),
                         eureka_bench::ablations::two_sided_energy(&cfg),
                     ] {
-                        out.push_str(&if *csv { t.to_csv() } else { t.render() });
+                        out.push_str(&render(t));
                         out.push('\n');
                     }
                     out
                 }
-                fig => {
-                    let table = match fig {
-                        "fig09" => eureka_bench::figure9(&cfg),
-                        "fig11" => eureka_bench::figure11(&cfg),
-                        "fig12" => eureka_bench::figure12(&cfg),
-                        "fig13" => eureka_bench::figure13(&cfg),
-                        "fig14" => eureka_bench::figure14(&cfg),
-                        other => return Err(format!("unknown figure '{other}'")),
-                    };
-                    if *csv {
-                        table.to_csv()
-                    } else {
-                        table.render()
-                    }
-                }
+                "fig09" => render(eureka_bench::figure9(&cfg)),
+                "fig11" => render(eureka_bench::figure11(&cfg)),
+                "fig12" => render(eureka_bench::figure12(&cfg)),
+                "fig13" => render(eureka_bench::figure13(&cfg)),
+                "fig14" => render(eureka_bench::figure14(&cfg)),
+                other => return Err(format!("unknown figure '{other}'")),
             };
-            tel.finish()?;
-            append_ledger(
-                ledger_dir.as_deref(),
-                *no_ledger,
-                "figure",
-                format!("{name}|{}", if *fast { "fast" } else { "paper" }),
-                None,
-                None,
-                wall_start,
-            )?;
-            // With events streaming to stdout, the human output is
-            // suppressed to keep stdout machine-readable.
-            if events_out.as_deref() == Some("-") {
-                return Ok(String::new());
-            }
-            Ok(out)
+            let label = format!("{name}|{}", run.sampling());
+            scope.finish("figure", label, None, None, out)
         }
         Command::Compile {
             benchmark,
@@ -1593,50 +1356,19 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             Ok(trace::to_chrome_json(&steps, &sys))
         }
         Command::Simulate {
-            benchmark,
-            pruning,
-            arch: arch_name,
+            workload: target,
+            run,
             batch,
-            fast,
-            csv,
-            jobs,
-            trace_out,
-            metrics_out,
-            verbose,
             keep_going,
             max_failures,
-            retries,
-            checkpoint_dir,
-            resume,
-            store_dir,
-            no_store,
-            events_out,
-            progress,
-            ledger_dir,
-            no_ledger,
         } => {
             use eureka_sim::{render_failure_report, JobOutcome};
-            if let Some(n) = jobs {
-                eureka_sim::runner::set_global_jobs(*n);
-            }
-            let _globals = RunnerGlobals::apply(
-                *retries,
-                checkpoint_dir.as_deref(),
-                *resume,
-                store_dir.as_deref(),
-                *no_store,
-            );
-            let wall_start = std::time::Instant::now();
-            let _events = EventsGuard::begin(events_out.as_deref(), *progress)?;
-            let tel = Telemetry::begin(trace_out.as_deref(), metrics_out.as_deref(), *verbose);
-            let cfg = if *fast {
-                SimConfig::fast()
-            } else {
-                SimConfig::paper_default()
-            };
-            let workload = Workload::new(*benchmark, *pruning, *batch);
-            let a = arch::by_name(arch_name)
-                .ok_or_else(|| format!("unknown architecture '{arch_name}'; run `eureka archs`"))?;
+            let scope = RunScope::enter(run, Some(batch))?;
+            let cfg = run.sim_config();
+            let workload = target.workload();
+            let a = arch::by_name(&target.arch).ok_or_else(|| {
+                format!("unknown architecture '{}'; run `eureka archs`", target.arch)
+            })?;
             let (report, failures) = match engine::simulate_outcome(a.as_ref(), &workload, &cfg) {
                 JobOutcome::Complete(report) => (report, Vec::new()),
                 JobOutcome::Degraded {
@@ -1671,24 +1403,15 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 }
             };
             report.log_layers();
-            let label = run_label(*benchmark, *pruning, *batch, *fast, arch_name);
-            if *csv {
+            let label = target.label(run);
+            if batch.csv {
                 // Keep stdout machine-readable: survivors go to the CSV,
                 // the failure report goes to stderr.
                 if !failures.is_empty() {
                     eureka_obs::error!("{}", render_failure_report(&failures));
                 }
-                tel.finish()?;
-                append_ledger(
-                    ledger_dir.as_deref(),
-                    *no_ledger,
-                    "simulate",
-                    label,
-                    Some(report.total_cycles()),
-                    None,
-                    wall_start,
-                )?;
-                return Ok(report.to_csv());
+                let cycles = Some(report.total_cycles());
+                return scope.finish("simulate", label, cycles, None, report.to_csv());
             }
             let mut out = format!("{} on {}\n", report.arch, report.workload);
             out.push_str(&format!(
@@ -1705,7 +1428,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             }
             out.push_str(&format!(
                 "  throughput     : {:.0} inputs/s\n",
-                report.throughput_per_s(*batch, 1.0)
+                report.throughput_per_s(target.batch, 1.0)
             ));
             out.push_str(&format!(
                 "  memory share   : {:.1}%\n",
@@ -1724,56 +1447,24 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                     render_failure_report(&failures)
                 ));
             }
-            tel.finish()?;
-            append_ledger(
-                ledger_dir.as_deref(),
-                *no_ledger,
-                "simulate",
-                label,
-                Some(report.total_cycles()),
-                speedup_vs_dense,
-                wall_start,
-            )?;
-            if events_out.as_deref() == Some("-") {
-                return Ok(String::new());
-            }
-            Ok(out)
+            let cycles = Some(report.total_cycles());
+            scope.finish("simulate", label, cycles, speedup_vs_dense, out)
         }
         Command::Profile {
-            benchmark,
-            pruning,
-            arch: arch_name,
-            batch,
-            fast,
-            jobs,
+            workload: target,
+            run,
             json_out,
             heatmap_out,
             trace_out,
             bench_json,
             top_tiles,
-            verbose,
-            store_dir,
-            no_store,
-            events_out,
-            progress,
-            ledger_dir,
-            no_ledger,
         } => {
-            if let Some(n) = jobs {
-                eureka_sim::runner::set_global_jobs(*n);
-            }
-            let _globals = RunnerGlobals::apply(0, None, false, store_dir.as_deref(), *no_store);
-            let wall_start = std::time::Instant::now();
-            let _events = EventsGuard::begin(events_out.as_deref(), *progress)?;
-            eureka_obs::log::set_verbosity(*verbose);
-            let cfg = if *fast {
-                SimConfig::fast()
-            } else {
-                SimConfig::paper_default()
-            };
-            let workload = Workload::new(*benchmark, *pruning, *batch);
-            let a = arch::by_name(arch_name)
-                .ok_or_else(|| format!("unknown architecture '{arch_name}'; run `eureka archs`"))?;
+            let scope = RunScope::enter(run, None)?;
+            let cfg = run.sim_config();
+            let workload = target.workload();
+            let a = arch::by_name(&target.arch).ok_or_else(|| {
+                format!("unknown architecture '{}'; run `eureka archs`", target.arch)
+            })?;
             let pcfg = eureka_sim::ProfileConfig {
                 top_tiles: *top_tiles,
             };
@@ -1804,8 +1495,8 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             if let Some(path) = bench_json {
                 // The standard snapshot matrix, plus the requested arch.
                 let mut names = vec!["dense", "ampere", "cnvlutin", "eureka-p2", "eureka-p4"];
-                if !names.contains(&arch_name.as_str()) {
-                    names.push(arch_name);
+                if !names.contains(&target.arch.as_str()) {
+                    names.push(&target.arch);
                 }
                 let mut reports = Vec::with_capacity(names.len());
                 for name in &names {
@@ -1818,30 +1509,18 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 let entries: Vec<(&str, &eureka_sim::SimReport)> =
                     names.iter().zip(&reports).map(|(n, r)| (*n, r)).collect();
                 let json = eureka_sim::profile::bench_snapshot_json(
-                    benchmark.name(),
-                    pruning.label(),
-                    *batch,
-                    if *fast { "fast" } else { "paper" },
+                    target.benchmark.name(),
+                    target.pruning.label(),
+                    target.batch,
+                    run.sampling(),
                     &entries,
                 );
                 emit(path, json, "BENCH snapshot")?;
             }
-            append_ledger(
-                ledger_dir.as_deref(),
-                *no_ledger,
-                "profile",
-                run_label(*benchmark, *pruning, *batch, *fast, arch_name),
-                Some(report.total_cycles()),
-                None,
-                wall_start,
-            )?;
-            Ok(match stdout_payload {
-                Some(payload) => payload,
-                // Events streamed to stdout: the human report is
-                // suppressed, same as any other stdout export.
-                None if events_out.as_deref() == Some("-") => String::new(),
-                None => profile.bottleneck_report(5),
-            })
+            // A stdout export replaces the human report.
+            let out = stdout_payload.unwrap_or_else(|| profile.bottleneck_report(5));
+            let cycles = Some(report.total_cycles());
+            scope.finish("profile", target.label(run), cycles, None, out)
         }
         Command::BenchList { ledger_dir } => {
             use eureka_obs::json::Value;
@@ -1906,55 +1585,8 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 corpus_dir: corpus_dir.as_ref().map(std::path::PathBuf::from),
             })
         }
-        Command::Serve {
-            socket,
-            journal_dir,
-            checkpoint_dir,
-            store_dir,
-            capacity,
-            deadline_ms,
-            jobs,
-            fast,
-            metrics_out,
-            sla_budget_us,
-            flightrec_dir,
-            ledger_dir,
-            no_ledger,
-        } => serve::run_serve(&serve::ServeOpts {
-            socket: socket.clone(),
-            journal_dir: journal_dir.clone(),
-            checkpoint_dir: checkpoint_dir.clone(),
-            store_dir: store_dir.clone(),
-            capacity: *capacity,
-            deadline_ms: *deadline_ms,
-            jobs: jobs.unwrap_or(1),
-            fast: *fast,
-            metrics_out: metrics_out.clone(),
-            sla_budget_us: *sla_budget_us,
-            flightrec_dir: flightrec_dir.clone().unwrap_or_else(|| "results".into()),
-            ledger_dir: ledger_dir.clone(),
-            no_ledger: *no_ledger,
-        }),
-        Command::Submit {
-            socket,
-            benchmark,
-            pruning,
-            arch,
-            batch,
-            deadline_ms,
-            retries,
-            wait,
-        } => {
-            let spec = eureka_sim::JobSpec {
-                benchmark: *benchmark,
-                pruning: *pruning,
-                batch: *batch,
-                arch: arch.clone(),
-                deadline_ms: *deadline_ms,
-                retries: *retries,
-            };
-            serve::run_submit(socket, &spec, *wait)
-        }
+        Command::Serve(opts) => serve::run_serve(opts),
+        Command::Submit { socket, spec, wait } => serve::run_submit(socket, spec, *wait),
         Command::Drain { socket, shutdown } => serve::run_drain(socket, *shutdown),
         Command::Stats { socket, json } => serve::run_stats(socket, *json),
     }
@@ -1964,127 +1596,572 @@ pub fn run(cmd: &Command) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parse_help_variants() {
-        assert_eq!(parse(Vec::<String>::new()).unwrap(), Command::Help);
-        assert_eq!(parse(["help"]).unwrap(), Command::Help);
-        assert_eq!(parse(["--help"]).unwrap(), Command::Help);
-    }
-
-    #[test]
-    fn parse_figure() {
-        let cmd = parse(["figure", "fig11", "--csv"]).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Figure {
-                name: "fig11".into(),
-                csv: true,
-                fast: false,
-                jobs: None,
-                trace_out: None,
-                metrics_out: None,
-                verbose: 0,
-                retries: 0,
-                checkpoint_dir: None,
-                resume: false,
-                store_dir: None,
-                no_store: false,
-                events_out: None,
-                progress: None,
-                ledger_dir: None,
-                no_ledger: false,
-            }
-        );
-        assert!(parse(["figure", "fig99"]).is_err());
-        assert!(parse(["figure"]).is_err());
-        assert!(parse(["figure", "fig11", "--bogus"]).is_err());
-    }
-
-    #[test]
-    fn parse_jobs_flag() {
-        let cmd = parse(["figure", "fig11", "--jobs", "4"]).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Figure {
-                name: "fig11".into(),
-                csv: false,
-                fast: false,
-                jobs: Some(4),
-                trace_out: None,
-                metrics_out: None,
-                verbose: 0,
-                retries: 0,
-                checkpoint_dir: None,
-                resume: false,
-                store_dir: None,
-                no_store: false,
-                events_out: None,
-                progress: None,
-                ledger_dir: None,
-                no_ledger: false,
-            }
-        );
-        let cmd = parse(["simulate", "--benchmark", "bert", "--jobs", "2"]).unwrap();
-        assert!(matches!(cmd, Command::Simulate { jobs: Some(2), .. }));
-        assert!(parse(["figure", "fig11", "--jobs"]).is_err());
-        assert!(parse(["figure", "fig11", "--jobs", "0"]).is_err());
-        assert!(parse(["simulate", "--benchmark", "bert", "--jobs", "x"]).is_err());
-    }
-
-    #[test]
-    fn parse_simulate_defaults_and_flags() {
-        let cmd = parse(["simulate", "--benchmark", "bert"]).unwrap();
-        match cmd {
-            Command::Simulate {
-                benchmark,
-                pruning,
-                arch,
-                batch,
-                fast,
-                csv,
-                jobs,
-                trace_out,
-                metrics_out,
-                verbose,
-                keep_going,
-                max_failures,
-                retries,
-                checkpoint_dir,
-                resume,
-                store_dir,
-                no_store,
-                events_out,
-                progress,
-                ledger_dir,
-                no_ledger,
-            } => {
-                assert_eq!(benchmark, Benchmark::BertSquad);
-                assert_eq!(pruning, PruningLevel::Moderate);
-                assert_eq!(arch, "eureka-p4");
-                assert_eq!(batch, 32);
-                assert!(!fast && !csv);
-                assert_eq!(jobs, None);
-                assert_eq!(trace_out, None);
-                assert_eq!(metrics_out, None);
-                assert_eq!(verbose, 0);
-                assert!(!keep_going && !resume);
-                assert_eq!(max_failures, None);
-                assert_eq!(retries, 0);
-                assert_eq!(checkpoint_dir, None);
-                assert_eq!(store_dir, None);
-                assert!(!no_store);
-                assert_eq!(events_out, None);
-                assert_eq!(progress, None);
-                assert_eq!(ledger_dir, None);
-                assert!(!no_ledger);
-            }
-            other => panic!("unexpected {other:?}"),
+    fn workload(benchmark: Benchmark) -> WorkloadArgs {
+        WorkloadArgs {
+            benchmark,
+            pruning: PruningLevel::Moderate,
+            arch: "eureka-p4".into(),
+            batch: 32,
         }
-        assert!(parse(["simulate"]).is_err());
-        assert!(parse(["simulate", "--benchmark", "vgg"]).is_err());
-        assert!(parse(["simulate", "--benchmark", "bert", "--arch", "nope"]).is_err());
-        assert!(parse(["simulate", "--benchmark", "bert", "--batch", "0"]).is_err());
-        assert!(parse(["simulate", "--benchmark", "bert", "--batch"]).is_err());
+    }
+
+    /// `figure fig11` with `f` applied to its default options.
+    fn figure(f: impl FnOnce(&mut RunOpts, &mut BatchOpts)) -> Command {
+        let (mut run, mut batch) = (RunOpts::default(), BatchOpts::default());
+        f(&mut run, &mut batch);
+        let name = "fig11".into();
+        Command::Figure { name, run, batch }
+    }
+
+    /// `simulate --benchmark bert` with `f` applied to its default options.
+    fn simulate(f: impl FnOnce(&mut RunOpts, &mut BatchOpts)) -> Command {
+        let (mut run, mut batch) = (RunOpts::default(), BatchOpts::default());
+        f(&mut run, &mut batch);
+        Command::Simulate {
+            workload: workload(Benchmark::BertSquad),
+            run,
+            batch,
+            keep_going: false,
+            max_failures: None,
+        }
+    }
+
+    /// `profile --benchmark <benchmark>` with `f` applied to its default
+    /// run options.
+    fn profile(benchmark: Benchmark, f: impl FnOnce(&mut RunOpts)) -> Command {
+        let mut run = RunOpts::default();
+        f(&mut run);
+        Command::Profile {
+            workload: workload(benchmark),
+            run,
+            json_out: None,
+            heatmap_out: None,
+            trace_out: None,
+            bench_json: None,
+            top_tiles: 5,
+        }
+    }
+
+    /// `serve` with `f` applied to its default options.
+    fn serve(f: impl FnOnce(&mut serve::ServeOpts)) -> Command {
+        let mut opts = serve::ServeOpts {
+            socket: "eureka.sock".into(),
+            journal_dir: "eureka-journal".into(),
+            checkpoint_dir: None,
+            store_dir: None,
+            capacity: 8,
+            deadline_ms: 0,
+            jobs: 1,
+            fast: false,
+            metrics_out: None,
+            sla_budget_us: None,
+            flightrec_dir: "results".into(),
+            ledger: LedgerOpts::default(),
+        };
+        f(&mut opts);
+        Command::Serve(opts)
+    }
+
+    fn verify(cases: u32, fault_matrix: bool, chaos: bool) -> Command {
+        Command::Verify {
+            cases,
+            seed: 42,
+            arch: None,
+            corpus_dir: None,
+            replay: None,
+            fault_matrix,
+            chaos,
+        }
+    }
+
+    fn some(s: &str) -> Option<String> {
+        Some(s.to_string())
+    }
+
+    fn bench_diff(max_regress: f64) -> Command {
+        Command::BenchDiff {
+            baseline: "a.json".into(),
+            candidate: "b.json".into(),
+            max_regress,
+        }
+    }
+
+    /// Argument vector → the parsed command or the exact parse error.
+    #[test]
+    fn parse_table() {
+        use Benchmark::{BertSquad, MobileNetV1};
+        const BENCH_USAGE: &str = "bench requires a subcommand: `list` or `diff <a> <b>`";
+        const BENCH_DIFF_PATHS: &str = "bench diff requires exactly two snapshot paths: \
+                                        `eureka bench diff <baseline.json> <candidate.json>`";
+        let rows: Vec<(&str, Result<Command, &str>)> = vec![
+            // help
+            ("", Ok(Command::Help)),
+            ("help", Ok(Command::Help)),
+            ("--help", Ok(Command::Help)),
+            // figure
+            ("figure fig11 --csv", Ok(figure(|_, b| b.csv = true))),
+            (
+                "figure fig99",
+                Err(
+                    "unknown figure 'fig99' (expected one of [\"table1\", \"table2\", \
+                     \"fig09\", \"fig11\", \"fig12\", \"fig13\", \"fig14\", \"ablations\"])",
+                ),
+            ),
+            (
+                "figure",
+                Err("figure requires a name, e.g. `eureka figure fig11`"),
+            ),
+            (
+                "figure fig11 --bogus",
+                Err("unknown flag '--bogus' for figure"),
+            ),
+            (
+                "figure fig11 --keep-going",
+                Err("unknown flag '--keep-going' for figure"),
+            ),
+            // --jobs
+            ("figure fig11 --jobs 4", Ok(figure(|r, _| r.jobs = Some(4)))),
+            (
+                "simulate --benchmark bert --jobs 2",
+                Ok(simulate(|r, _| r.jobs = Some(2))),
+            ),
+            ("figure fig11 --jobs", Err("--jobs requires a value")),
+            ("figure fig11 --jobs 0", Err("--jobs must be positive")),
+            (
+                "simulate --benchmark bert --jobs x",
+                Err("bad --jobs: invalid digit found in string"),
+            ),
+            // simulate: workload defaults and checks
+            ("simulate --benchmark bert", Ok(simulate(|_, _| {}))),
+            ("simulate", Err("simulate requires --benchmark")),
+            ("simulate --benchmark vgg", Err("unknown benchmark 'vgg'")),
+            (
+                "simulate --benchmark bert --arch nope",
+                Err("unknown architecture 'nope'; run `eureka archs`"),
+            ),
+            (
+                "simulate --benchmark bert --batch 0",
+                Err("--batch must be positive"),
+            ),
+            (
+                "simulate --benchmark bert --batch",
+                Err("--batch requires a value"),
+            ),
+            // telemetry
+            (
+                "simulate --benchmark bert --trace-out t.json --metrics-out m.json -v",
+                Ok(simulate(|r, b| {
+                    r.verbose = 1;
+                    b.trace_out = some("t.json");
+                    b.metrics_out = some("m.json");
+                })),
+            ),
+            (
+                "figure fig11 -vv --metrics-out m.json",
+                Ok(figure(|r, b| {
+                    r.verbose = 2;
+                    b.metrics_out = some("m.json");
+                })),
+            ),
+            (
+                "simulate --benchmark bert --trace-out",
+                Err("--trace-out requires a value"),
+            ),
+            (
+                "figure fig11 --metrics-out",
+                Err("--metrics-out requires a value"),
+            ),
+            // profile
+            (
+                "profile --benchmark mobilenetv1",
+                Ok(profile(MobileNetV1, |_| {})),
+            ),
+            (
+                "profile --benchmark resnet50 --arch eureka-p2 --fast --jobs 2 --top-tiles 3 \
+                 --json p.json --heatmap - --bench-json b.json",
+                Ok(Command::Profile {
+                    workload: WorkloadArgs {
+                        arch: "eureka-p2".into(),
+                        ..workload(Benchmark::ResNet50)
+                    },
+                    run: RunOpts {
+                        fast: true,
+                        jobs: Some(2),
+                        ..RunOpts::default()
+                    },
+                    json_out: some("p.json"),
+                    heatmap_out: some("-"),
+                    trace_out: None,
+                    bench_json: some("b.json"),
+                    top_tiles: 3,
+                }),
+            ),
+            ("profile", Err("profile requires --benchmark")),
+            (
+                "profile --benchmark bert --arch nope",
+                Err("unknown architecture 'nope'; run `eureka archs`"),
+            ),
+            (
+                "profile --benchmark bert --batch 0",
+                Err("--batch must be positive"),
+            ),
+            (
+                "profile --benchmark bert --bogus",
+                Err("unknown flag '--bogus' for profile"),
+            ),
+            (
+                "profile --benchmark bert --json - --heatmap -",
+                Err("at most one profile export may write to stdout ('-')"),
+            ),
+            // fault tolerance
+            (
+                "simulate --benchmark bert --keep-going --max-failures 3 --retries 2 \
+                 --checkpoint-dir ckpt --resume",
+                Ok(Command::Simulate {
+                    workload: workload(BertSquad),
+                    run: RunOpts::default(),
+                    batch: BatchOpts {
+                        retries: 2,
+                        checkpoint_dir: some("ckpt"),
+                        resume: true,
+                        ..BatchOpts::default()
+                    },
+                    keep_going: true,
+                    max_failures: Some(3),
+                }),
+            ),
+            (
+                "simulate --benchmark bert --max-failures 1",
+                Err("--max-failures requires --keep-going"),
+            ),
+            (
+                "simulate --benchmark bert --resume",
+                Err("--resume requires --checkpoint-dir"),
+            ),
+            (
+                "figure fig11 --resume",
+                Err("--resume requires --checkpoint-dir"),
+            ),
+            (
+                "simulate --benchmark bert --retries x",
+                Err("bad --retries: invalid digit found in string"),
+            ),
+            // Figures take retry/checkpoint flags (no keep-going: a
+            // missing layer would corrupt the aggregated table).
+            (
+                "figure fig11 --retries 1 --checkpoint-dir d",
+                Ok(figure(|_, b| {
+                    b.retries = 1;
+                    b.checkpoint_dir = some("d");
+                })),
+            ),
+            // verify
+            ("verify", Ok(verify(200, false, false))),
+            (
+                "verify --cases 17 --seed 9 --arch eureka-p2 --corpus-dir corpus",
+                Ok(Command::Verify {
+                    cases: 17,
+                    seed: 9,
+                    arch: some("eureka-p2"),
+                    corpus_dir: some("corpus"),
+                    replay: None,
+                    fault_matrix: false,
+                    chaos: false,
+                }),
+            ),
+            ("verify --cases 0", Err("--cases must be positive")),
+            (
+                "verify --arch nope",
+                Err("unknown architecture 'nope'; run `eureka archs`"),
+            ),
+            ("verify --bogus", Err("unknown flag '--bogus' for verify")),
+            // Replaying, the fault matrix and the chaos harness need no
+            // case budget.
+            (
+                "verify --cases 0 --replay tests/corpus",
+                Ok(Command::Verify {
+                    cases: 0,
+                    seed: 42,
+                    arch: None,
+                    corpus_dir: None,
+                    replay: some("tests/corpus"),
+                    fault_matrix: false,
+                    chaos: false,
+                }),
+            ),
+            ("verify --fault-matrix", Ok(verify(200, true, false))),
+            (
+                "verify --cases 0 --fault-matrix",
+                Ok(verify(0, true, false)),
+            ),
+            ("verify --chaos --cases 7", Ok(verify(7, false, true))),
+            // bench
+            ("bench list", Ok(Command::BenchList { ledger_dir: None })),
+            (
+                "bench list --ledger-dir d",
+                Ok(Command::BenchList {
+                    ledger_dir: some("d"),
+                }),
+            ),
+            ("bench diff a.json b.json", Ok(bench_diff(2.0))),
+            (
+                "bench diff a.json b.json --max-regress 5",
+                Ok(bench_diff(5.0)),
+            ),
+            ("bench", Err(BENCH_USAGE)),
+            ("bench frobnicate", Err(BENCH_USAGE)),
+            ("bench diff a.json", Err(BENCH_DIFF_PATHS)),
+            ("bench diff a b c", Err(BENCH_DIFF_PATHS)),
+            (
+                "bench diff a b --max-regress -1",
+                Err("--max-regress must be a non-negative percent"),
+            ),
+            (
+                "bench list --bogus",
+                Err("unknown flag '--bogus' for bench list"),
+            ),
+            // tile store
+            (
+                "simulate --benchmark bert --store-dir tiles",
+                Ok(simulate(|r, _| r.store_dir = some("tiles"))),
+            ),
+            (
+                "profile --benchmark bert --no-store",
+                Ok(profile(BertSquad, |r| r.no_store = true)),
+            ),
+            (
+                "figure fig11 --store-dir t",
+                Ok(figure(|r, _| r.store_dir = some("t"))),
+            ),
+            (
+                "simulate --benchmark bert --store-dir t --no-store",
+                Err("--no-store conflicts with --store-dir"),
+            ),
+            (
+                "figure fig11 --store-dir t --no-store",
+                Err("--no-store conflicts with --store-dir"),
+            ),
+            // events, progress, ledger
+            (
+                "simulate --benchmark bert --events-out ev.jsonl --no-progress --ledger-dir ld",
+                Ok(simulate(|r, _| {
+                    r.events_out = some("ev.jsonl");
+                    r.progress = Some(false);
+                    r.ledger.dir = some("ld");
+                })),
+            ),
+            (
+                "figure fig11 --progress --no-ledger",
+                Ok(figure(|r, _| {
+                    r.progress = Some(true);
+                    r.ledger.skip = true;
+                })),
+            ),
+            (
+                "figure fig11 --ledger-dir d --no-ledger",
+                Err("--no-ledger conflicts with --ledger-dir"),
+            ),
+            (
+                "simulate --benchmark bert --csv --events-out -",
+                Err("--events-out - conflicts with --csv (both claim stdout)"),
+            ),
+            // Events to stdout count toward profile's one-stdout-export rule.
+            (
+                "profile --benchmark bert --json - --events-out -",
+                Err("at most one profile export may write to stdout ('-')"),
+            ),
+            (
+                "profile --benchmark bert --events-out -",
+                Ok(profile(BertSquad, |r| r.events_out = some("-"))),
+            ),
+            // service commands
+            ("serve", Ok(serve(|_| {}))),
+            (
+                "serve --socket /tmp/e.sock --journal-dir j --checkpoint-dir c --store-dir s \
+                 --capacity 3 --deadline-ms 500 --jobs 2 --fast --metrics-out m.prom \
+                 --sla-budget-us 250000 --flightrec-dir fr --ledger-dir l",
+                Ok(serve(|o| {
+                    o.socket = "/tmp/e.sock".into();
+                    o.journal_dir = "j".into();
+                    o.checkpoint_dir = some("c");
+                    o.store_dir = some("s");
+                    o.capacity = 3;
+                    o.deadline_ms = 500;
+                    o.jobs = 2;
+                    o.fast = true;
+                    o.metrics_out = some("m.prom");
+                    o.sla_budget_us = Some(250_000);
+                    o.flightrec_dir = "fr".into();
+                    o.ledger.dir = some("l");
+                })),
+            ),
+            ("serve --no-ledger", Ok(serve(|o| o.ledger.skip = true))),
+            // Serve checks its ledger flags like the run commands do.
+            (
+                "serve --ledger-dir l --no-ledger",
+                Err("--no-ledger conflicts with --ledger-dir"),
+            ),
+            ("serve --capacity 0", Err("--capacity must be positive")),
+            (
+                "serve --sla-budget-us 0",
+                Err("--sla-budget-us must be positive"),
+            ),
+            ("serve --bogus", Err("unknown flag '--bogus' for serve")),
+            (
+                "submit --benchmark mobilenetv1 --deadline-ms 250 --retries 2 --wait",
+                Ok(Command::Submit {
+                    socket: "eureka.sock".into(),
+                    spec: JobSpec {
+                        deadline_ms: 250,
+                        retries: 2,
+                        ..JobSpec::new(MobileNetV1, PruningLevel::Moderate, 32, "eureka-p4")
+                    },
+                    wait: true,
+                }),
+            ),
+            ("submit", Err("submit requires --benchmark")),
+            (
+                "drain --socket /tmp/e.sock --shutdown",
+                Ok(Command::Drain {
+                    socket: "/tmp/e.sock".into(),
+                    shutdown: true,
+                }),
+            ),
+            (
+                "stats --socket /tmp/e.sock --json",
+                Ok(Command::Stats {
+                    socket: "/tmp/e.sock".into(),
+                    json: true,
+                }),
+            ),
+            (
+                "stats",
+                Ok(Command::Stats {
+                    socket: "eureka.sock".into(),
+                    json: false,
+                }),
+            ),
+            ("stats --bogus", Err("unknown flag '--bogus' for stats")),
+        ];
+        for (args, want) in rows {
+            let got = parse(args.split_whitespace());
+            assert_eq!(got, want.map_err(str::to_string), "{args}");
+        }
+    }
+
+    /// Every flag `USAGE` lists under each subcommand, with whether it
+    /// takes a value (`--flag <...>`).
+    fn usage_flags() -> Vec<(String, Vec<(String, bool)>)> {
+        let block = USAGE.split("USAGE:\n").nth(1).unwrap();
+        let block = block.split("\n\n").next().unwrap();
+        let mut subcommands: Vec<(String, Vec<(String, bool)>)> = Vec::new();
+        for line in block.lines() {
+            let line = line.trim_start();
+            if let Some(rest) = line.strip_prefix("eureka ") {
+                let mut words = rest.split_whitespace();
+                let mut name = words.next().unwrap().to_string();
+                if name == "bench" {
+                    name = format!("bench {}", words.next().unwrap());
+                }
+                subcommands.push((name, Vec::new()));
+            }
+            // `[--a <v>|--b]` → `--a <v> --b`; `<file|->` leaves a bare `->`.
+            let line = line.replace(['[', ']', '|'], " ");
+            let words: Vec<&str> = line.split_whitespace().collect();
+            for (i, word) in words.iter().enumerate() {
+                if word.starts_with('-')
+                    && word
+                        .trim_start_matches('-')
+                        .starts_with(char::is_alphabetic)
+                {
+                    let takes_value = words.get(i + 1).is_some_and(|w| w.starts_with('<'));
+                    subcommands
+                        .last_mut()
+                        .unwrap()
+                        .1
+                        .push((word.to_string(), takes_value));
+                }
+            }
+        }
+        subcommands
+    }
+
+    /// Each subcommand accepts exactly the `--flags` `USAGE` lists for
+    /// it: moving flags between option structs can neither drop one nor
+    /// hand one to a subcommand that never took it.
+    #[test]
+    fn usage_lists_exactly_the_flags_each_subcommand_accepts() {
+        let subcommands = usage_flags();
+        let all: std::collections::BTreeSet<&str> = subcommands
+            .iter()
+            .flat_map(|(_, flags)| flags.iter().map(|(f, _)| f.as_str()))
+            .filter(|f| f.starts_with("--"))
+            .collect();
+        assert!(all.len() > 40, "USAGE scan found only {all:?}");
+        for (cmd, flags) in subcommands.iter().filter(|(_, f)| !f.is_empty()) {
+            let base: Vec<&str> = match cmd.as_str() {
+                "figure" => vec!["figure", "fig11"],
+                "simulate" | "profile" | "submit" => vec![cmd, "--benchmark", "bert"],
+                "compile" | "trace" => vec![cmd, "--benchmark", "resnet50", "--layer", "conv1"],
+                "bench list" => vec!["bench", "list"],
+                "bench diff" => vec!["bench", "diff", "a.json", "b.json"],
+                other => vec![other],
+            };
+            for (flag, takes_value) in flags {
+                let mut args = base.clone();
+                args.push(flag);
+                if *takes_value {
+                    args.push("1");
+                }
+                if let Err(e) = parse(args.iter().copied()) {
+                    assert!(!e.contains("unknown flag"), "{cmd} rejects {flag}: {e}");
+                }
+            }
+            for flag in all.iter().filter(|f| !flags.iter().any(|(g, _)| g == *f)) {
+                let mut args = base.clone();
+                args.push(flag);
+                let want = format!("unknown flag '{flag}' for {cmd}");
+                assert_eq!(
+                    parse(args.iter().copied()),
+                    Err(want),
+                    "{cmd} accepts {flag}"
+                );
+            }
+        }
+        for flag in [
+            "--retries",
+            "--checkpoint-dir",
+            "--resume",
+            "--csv",
+            "--metrics-out",
+        ] {
+            assert_eq!(
+                parse(["profile", "--benchmark", "bert", flag]),
+                Err(format!("unknown flag '{flag}' for profile"))
+            );
+        }
+    }
+
+    #[test]
+    fn jobs_flag_does_not_outlive_its_command() {
+        // A worker count no other test requests, so a concurrent test's
+        // own `--jobs` can neither mask nor fake a leak.
+        let cmd = parse([
+            "profile",
+            "--benchmark",
+            "mobilenet",
+            "--fast",
+            "--no-ledger",
+            "--jobs",
+            "97",
+        ])
+        .unwrap();
+        run(&cmd).unwrap();
+        assert_ne!(
+            eureka_sim::Runner::parallel().effective_jobs(),
+            97,
+            "--jobs leaked into the process-wide worker default"
+        );
     }
 
     #[test]
@@ -2168,45 +2245,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_telemetry_flags() {
-        let cmd = parse([
-            "simulate",
-            "--benchmark",
-            "bert",
-            "--trace-out",
-            "t.json",
-            "--metrics-out",
-            "m.json",
-            "-v",
-        ])
-        .unwrap();
-        match cmd {
-            Command::Simulate {
-                trace_out,
-                metrics_out,
-                verbose,
-                ..
-            } => {
-                assert_eq!(trace_out.as_deref(), Some("t.json"));
-                assert_eq!(metrics_out.as_deref(), Some("m.json"));
-                assert_eq!(verbose, 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let cmd = parse(["figure", "fig11", "-vv", "--metrics-out", "m.json"]).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Figure {
-                verbose: 2,
-                metrics_out: Some(_),
-                ..
-            }
-        ));
-        assert!(parse(["simulate", "--benchmark", "bert", "--trace-out"]).is_err());
-        assert!(parse(["figure", "fig11", "--metrics-out"]).is_err());
-    }
-
-    #[test]
     fn run_simulate_writes_trace_and_metrics() {
         // Span recording is process-global; one test drives it.
         let dir = std::env::temp_dir().join(format!("eureka-cli-test-{}", std::process::id()));
@@ -2256,96 +2294,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_profile_defaults_and_flags() {
-        let cmd = parse(["profile", "--benchmark", "mobilenetv1"]).unwrap();
-        match cmd {
-            Command::Profile {
-                benchmark,
-                pruning,
-                arch,
-                batch,
-                fast,
-                jobs,
-                json_out,
-                heatmap_out,
-                trace_out,
-                bench_json,
-                top_tiles,
-                verbose,
-                store_dir,
-                no_store,
-                events_out,
-                progress,
-                ledger_dir,
-                no_ledger,
-            } => {
-                assert_eq!(benchmark, Benchmark::MobileNetV1);
-                assert_eq!(pruning, PruningLevel::Moderate);
-                assert_eq!(arch, "eureka-p4");
-                assert_eq!(batch, 32);
-                assert!(!fast);
-                assert_eq!(jobs, None);
-                assert_eq!(json_out, None);
-                assert_eq!(heatmap_out, None);
-                assert_eq!(trace_out, None);
-                assert_eq!(bench_json, None);
-                assert_eq!(top_tiles, 5);
-                assert_eq!(verbose, 0);
-                assert_eq!(store_dir, None);
-                assert!(!no_store);
-                assert_eq!(events_out, None);
-                assert_eq!(progress, None);
-                assert_eq!(ledger_dir, None);
-                assert!(!no_ledger);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let cmd = parse([
-            "profile",
-            "--benchmark",
-            "resnet50",
-            "--arch",
-            "eureka-p2",
-            "--fast",
-            "--jobs",
-            "2",
-            "--top-tiles",
-            "3",
-            "--json",
-            "p.json",
-            "--heatmap",
-            "-",
-            "--bench-json",
-            "b.json",
-        ])
-        .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Profile {
-                fast: true,
-                jobs: Some(2),
-                top_tiles: 3,
-                ..
-            }
-        ));
-        assert!(parse(["profile"]).is_err());
-        assert!(parse(["profile", "--benchmark", "bert", "--arch", "nope"]).is_err());
-        assert!(parse(["profile", "--benchmark", "bert", "--batch", "0"]).is_err());
-        assert!(parse(["profile", "--benchmark", "bert", "--bogus"]).is_err());
-        // At most one stdout export.
-        assert!(parse([
-            "profile",
-            "--benchmark",
-            "bert",
-            "--json",
-            "-",
-            "--heatmap",
-            "-"
-        ])
-        .is_err());
-    }
-
-    #[test]
     fn run_profile_human_report() {
         let cmd = parse([
             "profile",
@@ -2383,7 +2331,6 @@ mod tests {
         let mut serial: Vec<String> = args.iter().map(ToString::to_string).collect();
         serial.extend(["--jobs".to_string(), "1".to_string()]);
         let s = run(&parse(serial).unwrap()).unwrap();
-        eureka_sim::runner::set_global_jobs(0);
         assert_eq!(a, s, "profile JSON must not depend on --jobs");
     }
 
@@ -2430,116 +2377,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_verify_defaults_and_flags() {
-        assert_eq!(
-            parse(["verify"]).unwrap(),
-            Command::Verify {
-                cases: 200,
-                seed: 42,
-                arch: None,
-                corpus_dir: None,
-                replay: None,
-                fault_matrix: false,
-                chaos: false,
-            }
-        );
-        assert_eq!(
-            parse([
-                "verify",
-                "--cases",
-                "17",
-                "--seed",
-                "9",
-                "--arch",
-                "eureka-p2",
-                "--corpus-dir",
-                "corpus",
-            ])
-            .unwrap(),
-            Command::Verify {
-                cases: 17,
-                seed: 9,
-                arch: Some("eureka-p2".into()),
-                corpus_dir: Some("corpus".into()),
-                replay: None,
-                fault_matrix: false,
-                chaos: false,
-            }
-        );
-        assert!(parse(["verify", "--cases", "0"]).is_err());
-        assert!(parse(["verify", "--arch", "nope"]).is_err());
-        assert!(parse(["verify", "--bogus"]).is_err());
-        // Replaying needs no cases.
-        assert!(matches!(
-            parse(["verify", "--cases", "0", "--replay", "tests/corpus"]).unwrap(),
-            Command::Verify { cases: 0, .. }
-        ));
-    }
-
-    #[test]
-    fn parse_fault_tolerance_flags() {
-        let cmd = parse([
-            "simulate",
-            "--benchmark",
-            "bert",
-            "--keep-going",
-            "--max-failures",
-            "3",
-            "--retries",
-            "2",
-            "--checkpoint-dir",
-            "ckpt",
-            "--resume",
-        ])
-        .unwrap();
-        match cmd {
-            Command::Simulate {
-                keep_going,
-                max_failures,
-                retries,
-                checkpoint_dir,
-                resume,
-                ..
-            } => {
-                assert!(keep_going && resume);
-                assert_eq!(max_failures, Some(3));
-                assert_eq!(retries, 2);
-                assert_eq!(checkpoint_dir.as_deref(), Some("ckpt"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Validation: each dependent flag needs its anchor.
-        assert!(parse(["simulate", "--benchmark", "bert", "--max-failures", "1"]).is_err());
-        assert!(parse(["simulate", "--benchmark", "bert", "--resume"]).is_err());
-        assert!(parse(["figure", "fig11", "--resume"]).is_err());
-        assert!(parse(["simulate", "--benchmark", "bert", "--retries", "x"]).is_err());
-        // Figures accept retry/checkpoint flags (no keep-going: figures
-        // aggregate, a missing layer would corrupt the table).
-        let cmd = parse(["figure", "fig11", "--retries", "1", "--checkpoint-dir", "d"]).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Figure {
-                retries: 1,
-                checkpoint_dir: Some(_),
-                ..
-            }
-        ));
-        assert!(parse(["figure", "fig11", "--keep-going"]).is_err());
-        // Verify gains --fault-matrix, which needs no case budget.
-        assert!(matches!(
-            parse(["verify", "--fault-matrix"]).unwrap(),
-            Command::Verify {
-                fault_matrix: true,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse(["verify", "--cases", "0", "--fault-matrix"]).unwrap(),
-            Command::Verify { cases: 0, .. }
-        ));
-    }
-
-    #[test]
     fn run_simulate_checkpoint_resume_is_identical() {
         let dir = std::env::temp_dir().join(format!("eureka-cli-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -2581,35 +2418,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_store_flags_and_conflicts() {
-        let cmd = parse(["simulate", "--benchmark", "bert", "--store-dir", "tiles"]).unwrap();
-        assert!(
-            matches!(cmd, Command::Simulate { ref store_dir, no_store: false, .. }
-                if store_dir.as_deref() == Some("tiles"))
-        );
-        let cmd = parse(["profile", "--benchmark", "bert", "--no-store"]).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Profile {
-                store_dir: None,
-                no_store: true,
-                ..
-            }
-        ));
-        let cmd = parse(["figure", "fig11", "--store-dir", "t"]).unwrap();
-        assert!(matches!(cmd, Command::Figure { ref store_dir, .. }
-                if store_dir.as_deref() == Some("t")));
-        for sub in [
-            &["simulate", "--benchmark", "bert"][..],
-            &["figure", "fig11"][..],
-        ] {
-            let mut v: Vec<String> = sub.iter().map(ToString::to_string).collect();
-            v.extend(["--store-dir", "t", "--no-store"].map(String::from));
-            assert!(parse(v).is_err(), "--no-store conflicts with --store-dir");
-        }
-    }
-
-    #[test]
     fn run_simulate_store_dir_persists_tiles_and_warm_run_is_identical() {
         let dir = std::env::temp_dir().join(format!("eureka-cli-store-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -2647,99 +2455,6 @@ mod tests {
         let warm = run(&parse(args).unwrap()).unwrap();
         assert_eq!(cold, warm, "a store-warmed run must be bit-identical");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn parse_observability_flags() {
-        let cmd = parse([
-            "simulate",
-            "--benchmark",
-            "bert",
-            "--events-out",
-            "ev.jsonl",
-            "--no-progress",
-            "--ledger-dir",
-            "ld",
-        ])
-        .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Simulate {
-                ref events_out,
-                progress: Some(false),
-                ref ledger_dir,
-                no_ledger: false,
-                ..
-            } if events_out.as_deref() == Some("ev.jsonl") && ledger_dir.as_deref() == Some("ld")
-        ));
-        let cmd = parse(["figure", "fig11", "--progress", "--no-ledger"]).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Figure {
-                progress: Some(true),
-                no_ledger: true,
-                ..
-            }
-        ));
-        // Conflicts.
-        assert!(parse(["figure", "fig11", "--ledger-dir", "d", "--no-ledger"]).is_err());
-        assert!(parse([
-            "simulate",
-            "--benchmark",
-            "bert",
-            "--csv",
-            "--events-out",
-            "-"
-        ])
-        .is_err());
-        // Events to stdout count toward profile's one-stdout-export rule.
-        assert!(parse([
-            "profile",
-            "--benchmark",
-            "bert",
-            "--json",
-            "-",
-            "--events-out",
-            "-"
-        ])
-        .is_err());
-        assert!(parse(["profile", "--benchmark", "bert", "--events-out", "-"]).is_ok());
-    }
-
-    #[test]
-    fn parse_bench_subcommands() {
-        assert_eq!(
-            parse(["bench", "list"]).unwrap(),
-            Command::BenchList { ledger_dir: None }
-        );
-        assert_eq!(
-            parse(["bench", "list", "--ledger-dir", "d"]).unwrap(),
-            Command::BenchList {
-                ledger_dir: Some("d".into())
-            }
-        );
-        assert_eq!(
-            parse(["bench", "diff", "a.json", "b.json"]).unwrap(),
-            Command::BenchDiff {
-                baseline: "a.json".into(),
-                candidate: "b.json".into(),
-                max_regress: 2.0,
-            }
-        );
-        assert_eq!(
-            parse(["bench", "diff", "a.json", "b.json", "--max-regress", "5"]).unwrap(),
-            Command::BenchDiff {
-                baseline: "a.json".into(),
-                candidate: "b.json".into(),
-                max_regress: 5.0,
-            }
-        );
-        assert!(parse(["bench"]).is_err());
-        assert!(parse(["bench", "frobnicate"]).is_err());
-        assert!(parse(["bench", "diff", "a.json"]).is_err());
-        assert!(parse(["bench", "diff", "a", "b", "c"]).is_err());
-        assert!(parse(["bench", "diff", "a", "b", "--max-regress", "-1"]).is_err());
-        assert!(parse(["bench", "list", "--bogus"]).is_err());
     }
 
     #[test]
@@ -2854,133 +2569,6 @@ mod tests {
         let cmd = parse(["verify", "--replay", "../../tests/corpus"]).unwrap();
         let out = run(&cmd).unwrap();
         assert!(out.contains("all pass"), "{out}");
-    }
-
-    #[test]
-    fn parse_service_commands() {
-        assert_eq!(
-            parse(["serve"]).unwrap(),
-            Command::Serve {
-                socket: "eureka.sock".into(),
-                journal_dir: "eureka-journal".into(),
-                checkpoint_dir: None,
-                store_dir: None,
-                capacity: 8,
-                deadline_ms: 0,
-                jobs: None,
-                fast: false,
-                metrics_out: None,
-                sla_budget_us: None,
-                flightrec_dir: None,
-                ledger_dir: None,
-                no_ledger: false,
-            }
-        );
-        assert_eq!(
-            parse([
-                "serve",
-                "--socket",
-                "/tmp/e.sock",
-                "--journal-dir",
-                "j",
-                "--checkpoint-dir",
-                "c",
-                "--store-dir",
-                "s",
-                "--capacity",
-                "3",
-                "--deadline-ms",
-                "500",
-                "--jobs",
-                "2",
-                "--fast",
-                "--metrics-out",
-                "m.prom",
-                "--sla-budget-us",
-                "250000",
-                "--flightrec-dir",
-                "fr",
-                "--ledger-dir",
-                "l",
-                "--no-ledger",
-            ])
-            .unwrap(),
-            Command::Serve {
-                socket: "/tmp/e.sock".into(),
-                journal_dir: "j".into(),
-                checkpoint_dir: Some("c".into()),
-                store_dir: Some("s".into()),
-                capacity: 3,
-                deadline_ms: 500,
-                jobs: Some(2),
-                fast: true,
-                metrics_out: Some("m.prom".into()),
-                sla_budget_us: Some(250_000),
-                flightrec_dir: Some("fr".into()),
-                ledger_dir: Some("l".into()),
-                no_ledger: true,
-            }
-        );
-        assert!(parse(["serve", "--capacity", "0"]).is_err());
-        assert!(parse(["serve", "--sla-budget-us", "0"]).is_err());
-        assert!(parse(["serve", "--bogus"]).is_err());
-
-        assert_eq!(
-            parse([
-                "submit",
-                "--benchmark",
-                "mobilenetv1",
-                "--deadline-ms",
-                "250",
-                "--retries",
-                "2",
-                "--wait",
-            ])
-            .unwrap(),
-            Command::Submit {
-                socket: "eureka.sock".into(),
-                benchmark: Benchmark::MobileNetV1,
-                pruning: PruningLevel::Moderate,
-                arch: "eureka-p4".into(),
-                batch: 32,
-                deadline_ms: 250,
-                retries: 2,
-                wait: true,
-            }
-        );
-        assert!(parse(["submit"]).is_err(), "submit requires --benchmark");
-
-        assert_eq!(
-            parse(["drain", "--socket", "/tmp/e.sock", "--shutdown"]).unwrap(),
-            Command::Drain {
-                socket: "/tmp/e.sock".into(),
-                shutdown: true,
-            }
-        );
-        assert_eq!(
-            parse(["stats", "--socket", "/tmp/e.sock", "--json"]).unwrap(),
-            Command::Stats {
-                socket: "/tmp/e.sock".into(),
-                json: true,
-            }
-        );
-        assert_eq!(
-            parse(["stats"]).unwrap(),
-            Command::Stats {
-                socket: "eureka.sock".into(),
-                json: false,
-            }
-        );
-        assert!(parse(["stats", "--bogus"]).is_err());
-        // Chaos rides the verify umbrella.
-        assert!(matches!(
-            parse(["verify", "--chaos", "--cases", "7"]).unwrap(),
-            Command::Verify {
-                chaos: true,
-                cases: 7,
-                ..
-            }
-        ));
     }
 
     #[test]

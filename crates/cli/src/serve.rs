@@ -16,7 +16,7 @@
 use eureka_sim::JobSpec;
 
 /// Parsed `eureka serve` configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServeOpts {
     /// Unix socket path to listen on.
     pub socket: String,
@@ -42,10 +42,8 @@ pub struct ServeOpts {
     pub sla_budget_us: Option<u64>,
     /// Flight-recorder dump directory.
     pub flightrec_dir: String,
-    /// Run-ledger directory for the SLA record.
-    pub ledger_dir: Option<String>,
-    /// Skip the SLA ledger append.
-    pub no_ledger: bool,
+    /// Where the SLA run-ledger record goes.
+    pub ledger: crate::LedgerOpts,
 }
 
 #[cfg(unix)]
@@ -147,17 +145,13 @@ mod imp {
     }
 
     /// Best-effort refresh of the observability exhaust: the
-    /// Prometheus exposition (tmp + rename, so scrapers never read a
-    /// torn file) and the flight-recorder dump. Failures degrade to a
+    /// Prometheus exposition (written atomically, so scrapers never read
+    /// a torn file) and the flight-recorder dump. Failures degrade to a
     /// log line — the daemon's job is serving, not exporting.
     fn export_observability(opts: &ServeOpts, service: &JobService) {
         if let Some(path) = &opts.metrics_out {
             let text = eureka_obs::metrics::prometheus_text();
-            let tmp = format!("{path}.tmp");
-            let failed = std::fs::write(&tmp, &text)
-                .and_then(|()| std::fs::rename(&tmp, path))
-                .is_err();
-            if failed {
+            if eureka_obs::durable::write_atomic(Path::new(path), text.as_bytes()).is_err() {
                 eureka_obs::info!("serve: cannot write metrics to {path}");
             }
         }
@@ -176,11 +170,7 @@ mod imp {
         sla: eureka_sim::SlaReport,
         started: Instant,
     ) -> Result<(), String> {
-        let Some(dir) = crate::resolve_ledger_dir(opts.ledger_dir.as_deref(), opts.no_ledger)
-        else {
-            return Ok(());
-        };
-        let record = eureka_sim::LedgerRecord {
+        opts.ledger.append(&eureka_sim::LedgerRecord {
             kind: "serve".to_string(),
             label: format!(
                 "serve|capacity{}|deadline{}ms|{}",
@@ -193,10 +183,7 @@ mod imp {
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
             events: eureka_obs::events::emitted_count(),
             sla: Some(sla),
-        };
-        let path = eureka_sim::ledger::append(&dir, &record)?;
-        eureka_obs::info!("ledger: appended {}", path.display());
-        Ok(())
+        })
     }
 
     /// One client connection: JSON lines in, JSON lines out. Returns

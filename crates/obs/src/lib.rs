@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod durable;
 pub mod events;
 pub mod flightrec;
 pub mod json;

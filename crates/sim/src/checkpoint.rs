@@ -21,7 +21,6 @@
 use crate::report::{LayerReport, OpCounts};
 use eureka_obs::metrics::{self, Class};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Largest checkpoint entry `load` will even read. Real entries are a
 /// few hundred bytes; anything bigger is filesystem corruption or a
@@ -220,17 +219,8 @@ impl CheckpointStore {
     /// should treat these as non-fatal (the run still holds the result in
     /// memory).
     pub fn store(&self, key: &str, report: &LayerReport) -> std::io::Result<()> {
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         std::fs::create_dir_all(&self.dir)?;
-        let target = self.path_for(key);
-        let tmp = self.dir.join(format!(
-            "{:016x}.tmp-{}-{}",
-            fnv1a64(key.as_bytes()),
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, encode(key, report))?;
-        std::fs::rename(&tmp, &target)
+        eureka_obs::durable::write_atomic(&self.path_for(key), encode(key, report).as_bytes())
     }
 
     /// Number of completed-unit entries currently on disk (`.unit` files

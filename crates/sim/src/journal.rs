@@ -11,9 +11,8 @@
 //!
 //! The format mirrors the checkpoint store deliberately: one file per
 //! job named by the FNV-1a hash of the job's canonical spec, written
-//! with the same atomic temp-file + rename discipline, read with the
-//! same fail-soft policy (a malformed entry ticks `journal.errors` and
-//! is skipped, never aborts recovery).
+//! atomically, read with the same fail-soft policy (a malformed entry
+//! ticks `journal.errors` and is skipped, never aborts recovery).
 //!
 //! ```text
 //! eureka-journal v1
@@ -24,7 +23,6 @@
 use crate::checkpoint::{escape, fnv1a64, unescape};
 use eureka_obs::metrics::{self, Class};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format marker; bump on incompatible changes. Entries with a foreign
 /// header are skipped (with an error tick), never misread.
@@ -110,9 +108,8 @@ impl Journal {
             .join(format!("{:016x}.job", fnv1a64(spec.as_bytes())))
     }
 
-    /// Records `spec` at `state`, atomically replacing any previous
-    /// record for the same spec (temp file + rename: a crash mid-write
-    /// leaves the prior record readable, never a torn one).
+    /// Records `spec` at `state`, atomically replacing any previous record
+    /// for the same spec: a crash mid-write leaves the prior one readable.
     ///
     /// # Errors
     ///
@@ -121,18 +118,9 @@ impl Journal {
     /// (the durability promise would be a lie), but failed terminal
     /// records as non-fatal (worst case the job is replayed once).
     pub fn record(&self, spec: &str, state: JournalState) -> std::io::Result<()> {
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         std::fs::create_dir_all(&self.dir)?;
-        let target = self.path_for(spec);
-        let tmp = self.dir.join(format!(
-            "{:016x}.tmp-{}-{}",
-            fnv1a64(spec.as_bytes()),
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
         let text = format!("{HEADER}\nspec {}\nstate {}\n", escape(spec), state.label());
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, &target)
+        eureka_obs::durable::write_atomic(&self.path_for(spec), text.as_bytes())
     }
 
     /// Parses one journal entry.

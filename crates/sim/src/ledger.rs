@@ -8,8 +8,7 @@
 //! metrics outcome (`metrics_digest` — the FNV-1a digest of
 //! [`eureka_obs::metrics::snapshot_json`]`(false)`), how long it took,
 //! and how many run events the bus emitted. Records are single JSON
-//! files written via the same tmp+rename idiom as
-//! [`crate::checkpoint`], so a killed run never leaves a torn record.
+//! files written atomically, so a killed run never leaves a torn record.
 //!
 //! [`diff`] compares two snapshots field-by-field under a regression
 //! threshold. It understands both record families:
@@ -87,8 +86,8 @@ pub fn git_describe() -> String {
 
 /// Appends one record to the ledger directory (created if missing) and
 /// returns the path written. File names are `<key>-<n>.json` with `n`
-/// the first free sequence number for that key; the write is
-/// tmp+rename, so concurrent or killed runs never tear a record.
+/// the first free sequence number for that key; the write is atomic,
+/// so concurrent or killed runs never tear a record.
 ///
 /// # Errors
 ///
@@ -139,12 +138,8 @@ pub fn append(dir: &Path, record: &LedgerRecord) -> Result<PathBuf, String> {
             return Err("ledger sequence exhausted".to_string());
         }
     };
-    let tmp = dir.join(format!(".{key}-{n}.json.tmp-{}", std::process::id()));
-    std::fs::write(&tmp, body).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, &path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        format!("rename {}: {e}", path.display())
-    })?;
+    eureka_obs::durable::write_atomic(&path, body.as_bytes())
+        .map_err(|e| format!("write {}: {e}", path.display()))?;
     Ok(path)
 }
 

@@ -33,6 +33,7 @@
 //! [`Class::Deterministic`]; `lookups == hits + misses` always, and on a
 //! fully warmed store `hits == lookups` with `misses == 0`.
 
+use eureka_obs::durable::write_atomic;
 use eureka_obs::metrics::{self, Class, Counter};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -465,7 +466,6 @@ impl DiskTier {
     /// content leaves the shard bytes untouched. IO failures count as
     /// `store.errors` and leave the records dirty for a later flush.
     pub fn flush(&self) {
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         for idx in 0..SHARDS {
             let mut shard = lock(&self.shards[idx]);
             if shard.dirty.is_empty() {
@@ -491,20 +491,10 @@ impl DiskTier {
             let written = if fresh == 0 {
                 true
             } else if loaded.is_empty() {
-                // Nothing readable on disk: write the shard whole,
-                // atomically (header first, then the records).
-                let mut whole = String::from(HEADER);
-                whole.push('\n');
-                whole.push_str(&text);
-                std::fs::create_dir_all(&self.dir).is_ok() && {
-                    let tmp = self.dir.join(format!(
-                        "{idx:02x}.tmp-{}-{}",
-                        std::process::id(),
-                        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-                    ));
-                    std::fs::write(&tmp, &whole).is_ok()
-                        && std::fs::rename(&tmp, self.shard_path(idx)).is_ok()
-                }
+                // Nothing readable on disk: write the shard whole, atomically.
+                let whole = format!("{HEADER}\n{text}");
+                std::fs::create_dir_all(&self.dir).is_ok()
+                    && write_atomic(&self.shard_path(idx), whole.as_bytes()).is_ok()
             } else {
                 // Readable shard on disk: append only the new records.
                 // A crash mid-append at worst truncates the final line,

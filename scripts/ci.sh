@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace
+# perfbench/ is a separate package that compiles against the CLI, runner
+# and store APIs; building it catches API breaks before the benchmark runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo doc --workspace --no-deps
 cargo bench --workspace -- --test   # criterion harness smoke (no timing)
 cargo run --release -q -p eureka-cli -- verify --replay tests/corpus
