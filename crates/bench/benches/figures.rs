@@ -13,7 +13,6 @@ fn bench_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 8,
         slice_samples: 8,
-        act_samples: 8,
         ..SimConfig::paper_default()
     }
 }

@@ -8,17 +8,15 @@ use eureka_core::{exec, CompactedTile};
 use eureka_fp16::mac::{self, MacUnit};
 use eureka_fp16::{csa, Prepared, F16};
 use eureka_sparse::bitmask::MaskedRow;
-use eureka_sparse::{gen, rng::DetRng, AlignedTile, SparsityPattern, TilePattern};
+use eureka_sparse::rng::{Bernoulli, DetRng};
+use eureka_sparse::{gen, AlignedTile, SparsityPattern, TilePattern};
 use std::hint::black_box;
 
 fn sample_lens(count: usize, p: usize, q: usize, density: f64, seed: u64) -> Vec<Vec<usize>> {
     let mut rng = DetRng::new(seed);
+    let cell = Bernoulli::new(density);
     (0..count)
-        .map(|_| {
-            (0..p)
-                .map(|_| (0..q).filter(|_| rng.bernoulli(density)).count())
-                .collect()
-        })
+        .map(|_| (0..p).map(|_| cell.count(q, &mut rng)).collect())
         .collect()
 }
 

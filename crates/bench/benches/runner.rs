@@ -15,7 +15,6 @@ fn bench_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 48,
         slice_samples: 48,
-        act_samples: 32,
         ..SimConfig::paper_default()
     }
 }

@@ -368,7 +368,6 @@ mod tests {
         SimConfig {
             rowgroup_samples: 12,
             slice_samples: 12,
-            act_samples: 12,
             ..SimConfig::paper_default()
         }
     }

@@ -14,11 +14,12 @@
 //! burstiness penalty; zero-product steps are skipped by the compressed
 //! format).
 
-use super::{binomial, tile_density, Architecture, LayerCtx, SimError};
+use super::{tile_density, Architecture, LayerCtx, SimError};
 use crate::config::SimConfig;
 use crate::memory;
 use crate::report::{LayerReport, OpCounts};
 use eureka_models::workload::LayerGemm;
+use eureka_sparse::rng::{Bernoulli, DetRng};
 
 /// DSTC's output-block edge (its 8×8 array).
 const BLOCK: usize = 8;
@@ -57,16 +58,22 @@ impl Architecture for Dstc {
         // block density (pruned blocks are larger than a window).
         const WINDOW: usize = 16;
         let samples = (cfg.rowgroup_samples * cfg.slice_samples).max(256);
-        let window_stats = |d_w: f64, rng: &mut eureka_sparse::rng::DetRng| -> (f64, f64) {
+        let (w_rows, a_cols) = (BLOCK.min(n), BLOCK.min(m));
+        let act = Bernoulli::new(d_a);
+        let window_stats = |d_w: f64, rng: &mut DetRng| -> (f64, f64) {
+            let weight = Bernoulli::new(d_w);
             let (mut sum_cycles, mut sum_products) = (0f64, 0f64);
             for _ in 0..samples {
-                let (mut products, mut w_total) = (0f64, 0f64);
+                // Integer counts within a sample; both stay small enough
+                // that their `f64` values are exact.
+                let (mut products, mut w_total) = (0usize, 0usize);
                 for _ in 0..WINDOW {
-                    let w_nnz = binomial(BLOCK.min(n), d_w, rng);
-                    let a_nnz = binomial(BLOCK.min(m), d_a, rng);
-                    products += (w_nnz * a_nnz) as f64;
-                    w_total += w_nnz as f64;
+                    let w_nnz = weight.count(w_rows, rng);
+                    let a_nnz = act.count(a_cols, rng);
+                    products += w_nnz * a_nnz;
+                    w_total += w_nnz;
                 }
+                let (products, w_total) = (products as f64, w_total as f64);
                 sum_products += products;
                 // 1×8 weight vector lanes bound the front end; the
                 // crossbar bounds the commit side.
@@ -148,7 +155,6 @@ mod tests {
     use super::*;
     use crate::arch::onesided;
     use eureka_models::GemmShape;
-    use eureka_sparse::rng::DetRng;
 
     fn ctx(act: f64) -> LayerCtx {
         LayerCtx {

@@ -20,7 +20,7 @@ use crate::scratch::ScratchPool;
 use crate::store::TileBroker;
 use core::fmt;
 use eureka_models::workload::LayerGemm;
-use eureka_sparse::rng::DetRng;
+use eureka_sparse::rng::{Bernoulli, DetRng};
 use eureka_sparse::TilePattern;
 
 pub use dstc::{dstc, Dstc};
@@ -287,25 +287,15 @@ fn sample_masks(
 ) {
     let p = masks.len();
     for mask in masks.iter_mut().take(rows_live.min(p)) {
-        let d = row_density(base_density, sigma, rng);
-        // One Bernoulli draw per live cell, branchless. The integer
-        // compare is exactly `rng.bernoulli(d)`: `next_f64()` is
-        // `(next_u64() >> 11) · 2⁻⁵³` (lossless — 53 bits scaled by a
-        // power of two), so `next_f64() < d  ⟺  (next_u64() >> 11) <
-        // ⌈d·2⁵³⌉`, where `d·2⁵³` is itself exact for clamped `d`.
-        // `tests/kernel_equivalence.rs` pins the equivalence.
-        let thr = (d.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64;
+        // One Bernoulli draw per live cell, branchless; `Bernoulli`
+        // holds the proof that this equals `rng.bernoulli(d)`.
+        let cell = Bernoulli::new(row_density(base_density, sigma, rng));
         let mut m = 0u64;
         for c in 0..cols_live.min(q) {
-            m |= u64::from(rng.next_u64() >> 11 < thr) << c;
+            m |= u64::from(cell.sample(rng)) << c;
         }
         *mask |= m;
     }
-}
-
-/// Binomial sample: number of successes in `n` Bernoulli(p) trials.
-pub(crate) fn binomial(n: usize, p: f64, rng: &mut DetRng) -> usize {
-    (0..n).filter(|_| rng.bernoulli(p)).count()
 }
 
 /// A registry constructor: builds one boxed architecture.
@@ -440,14 +430,6 @@ mod tests {
             / n as f64;
         assert!((mean - 0.13).abs() < 0.01, "mean {mean}");
         assert_eq!(row_density(0.13, 0.0, &mut rng), 0.13);
-    }
-
-    #[test]
-    fn binomial_mean() {
-        let mut rng = DetRng::new(3);
-        let total: usize = (0..2000).map(|_| binomial(32, 0.25, &mut rng)).sum();
-        let mean = total as f64 / 2000.0;
-        assert!((mean - 8.0).abs() < 0.3, "mean {mean}");
     }
 
     #[test]

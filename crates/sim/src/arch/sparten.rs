@@ -20,6 +20,7 @@ use crate::memory;
 use crate::report::{LayerReport, OpCounts};
 use eureka_models::workload::LayerGemm;
 use eureka_sparse::bitmask::CHUNK_WIDTH;
+use eureka_sparse::rng::Bernoulli;
 
 /// Relative cost of skipping past an empty weight chunk: the activation
 /// chunk still streams through the double buffer ("large parts of the
@@ -88,14 +89,15 @@ impl Architecture for SparTen {
         let samples = (cfg.rowgroup_samples * cfg.slice_samples).max(256);
         let (mut sum_cost, mut sum_matches) = (0f64, 0f64);
         let mut chunk_costs = Vec::with_capacity(samples);
+        let act = Bernoulli::new(d_a);
         for _ in 0..samples {
-            let d_w = tile_density(gemm, &mut rng);
+            let weight = Bernoulli::new(tile_density(gemm, &mut rng));
             let width = CHUNK_WIDTH.min(k);
             let mut w_nnz = 0usize;
             let mut matches = 0usize;
             for _ in 0..width {
-                let w = rng.bernoulli(d_w);
-                let a = rng.bernoulli(d_a);
+                let w = weight.sample(&mut rng);
+                let a = act.sample(&mut rng);
                 w_nnz += usize::from(w);
                 matches += usize::from(w && a);
             }

@@ -111,8 +111,6 @@ pub struct SimConfig {
     pub rowgroup_samples: usize,
     /// Reduction-slice samples per sampled row-group.
     pub slice_samples: usize,
-    /// Activation-column samples per layer (two-sided baselines).
-    pub act_samples: usize,
     /// Log-normal sigma of per-filter-row density variation. Magnitude
     /// pruning keeps some filters far denser than others; a hot row idles
     /// `p - 1` rows of a `p×p` array, which is why plain array scale-up
@@ -148,7 +146,6 @@ impl SimConfig {
             mem: MemoryConfig::default(),
             rowgroup_samples: 96,
             slice_samples: 96,
-            act_samples: 64,
             row_density_sigma: 0.8,
             sparten_chunk_min_cycles: 4.0,
             dstc_crossbar_width: 16,
@@ -164,7 +161,6 @@ impl SimConfig {
         SimConfig {
             rowgroup_samples: 24,
             slice_samples: 24,
-            act_samples: 16,
             ..Self::paper_default()
         }
     }

@@ -210,7 +210,6 @@ struct CfgKey {
     ramp_fraction: u64,
     rowgroup_samples: usize,
     slice_samples: usize,
-    act_samples: usize,
     row_density_sigma: u64,
     sparten_chunk_min_cycles: u64,
     dstc_crossbar_width: usize,
@@ -230,7 +229,6 @@ impl CfgKey {
             ramp_fraction: cfg.mem.ramp_fraction.to_bits(),
             rowgroup_samples: cfg.rowgroup_samples,
             slice_samples: cfg.slice_samples,
-            act_samples: cfg.act_samples,
             row_density_sigma: cfg.row_density_sigma.to_bits(),
             sparten_chunk_min_cycles: cfg.sparten_chunk_min_cycles.to_bits(),
             dstc_crossbar_width: cfg.dstc_crossbar_width,
@@ -241,7 +239,7 @@ impl CfgKey {
     /// Stable text rendering for [`UnitKey::canonical`].
     fn canonical(&self) -> String {
         format!(
-            "cfg=tc{},sa{},gr{},gc{},w{},bpc{:016x},l2{:016x},rf{:016x},rg{},sl{},ac{},sg{:016x},sc{:016x},xw{},dm{}",
+            "cfg=tc{},sa{},gr{},gc{},w{},bpc{:016x},l2{:016x},rf{:016x},rg{},sl{},sg{:016x},sc{:016x},xw{},dm{}",
             self.tensor_cores,
             self.sub_array_dim,
             self.grid_rows,
@@ -252,7 +250,6 @@ impl CfgKey {
             self.ramp_fraction,
             self.rowgroup_samples,
             self.slice_samples,
-            self.act_samples,
             self.row_density_sigma,
             self.sparten_chunk_min_cycles,
             self.dstc_crossbar_width,
@@ -1575,7 +1572,6 @@ mod tests {
         SimConfig {
             rowgroup_samples: 8,
             slice_samples: 8,
-            act_samples: 8,
             ..SimConfig::paper_default()
         }
     }

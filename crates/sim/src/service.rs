@@ -1415,7 +1415,6 @@ mod tests {
         SimConfig {
             rowgroup_samples: 4,
             slice_samples: 4,
-            act_samples: 4,
             ..SimConfig::fast()
         }
     }

@@ -5,6 +5,91 @@
 //! and with every dependency version. [`DetRng`] implements xoshiro256**
 //! seeded through SplitMix64 — the standard, well-analyzed construction —
 //! in ~60 lines with no dependencies.
+//!
+//! [`Bernoulli`] is the workspace's one definition of a Bernoulli trial:
+//! every sampled trial, [`DetRng::bernoulli`] included, is an integer
+//! compare on one raw draw, and its doc comment holds the proof that this
+//! equals the `f64` compare `next_f64() < p`.
+
+/// `2⁵³`: [`DetRng::next_f64`] keeps the top 53 bits of a raw draw.
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
+
+/// The `[0, 1)` value [`DetRng::next_f64`] makes of the raw draw `raw`:
+/// its top 53 bits scaled by `2⁻⁵³`, which is exact.
+#[must_use]
+#[inline]
+pub fn unit_f64(raw: u64) -> f64 {
+    (raw >> 11) as f64 * (1.0 / TWO_POW_53)
+}
+
+/// A Bernoulli trial with success probability `p`, precomputed once as an
+/// integer threshold so each trial is one raw draw and one compare.
+///
+/// Equivalence with the `f64` compare, for every `f64` `p` (NaN and the
+/// infinities included) and every raw draw `u`, with `x = u >> 11`:
+///
+/// * `unit_f64(u) = x · 2⁻⁵³` exactly, since `x < 2⁵³` fits the mantissa
+///   and scaling by a power of two is lossless.
+/// * For `c = p.clamp(0, 1)`, `c · 2⁵³` is exact too (subnormal `c`
+///   included: the product cannot underflow or overflow), so
+///   `unit_f64(u) < c  ⟺  x < c · 2⁵³  ⟺  x < ⌈c · 2⁵³⌉`, the last step
+///   because `x` is an integer. `⌈c · 2⁵³⌉ ≤ 2⁵³` fits a `u64`.
+/// * Clamping changes nothing: `unit_f64(u) ∈ [0, 1)`, so `p < 0` and
+///   `c = 0` both always fail, and `p ≥ 1` and `c = 1` both always pass.
+///   NaN compares false, and `NaN as u64` is a zero threshold.
+///
+/// So [`Bernoulli::accepts`] equals `unit_f64(u) < p`, and
+/// [`Bernoulli::sample`] equals `rng.next_f64() < p` while consuming the
+/// same single draw. `tests/kernel_equivalence.rs` checks this at draws
+/// on both sides of the threshold.
+///
+/// # Examples
+///
+/// ```
+/// use eureka_sparse::rng::{Bernoulli, DetRng};
+///
+/// let coin = Bernoulli::new(0.25);
+/// let (mut a, mut b) = (DetRng::new(3), DetRng::new(3));
+/// for _ in 0..100 {
+///     assert_eq!(coin.sample(&mut a), b.next_f64() < 0.25);
+/// }
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Bernoulli {
+    /// `⌈p · 2⁵³⌉` for `p` clamped to `[0, 1]`; 0 for NaN.
+    threshold: u64,
+}
+
+impl Bernoulli {
+    /// A trial that succeeds with probability `p` (clamped to `[0, 1]`).
+    #[must_use]
+    #[inline]
+    pub fn new(p: f64) -> Self {
+        Bernoulli {
+            threshold: (p.clamp(0.0, 1.0) * TWO_POW_53).ceil() as u64,
+        }
+    }
+
+    /// The trial's outcome for the raw draw `raw`.
+    #[must_use]
+    #[inline]
+    pub fn accepts(self, raw: u64) -> bool {
+        raw >> 11 < self.threshold
+    }
+
+    /// One trial: draws exactly one `next_u64`.
+    #[inline]
+    pub fn sample(self, rng: &mut DetRng) -> bool {
+        self.accepts(rng.next_u64())
+    }
+
+    /// Successes in `trials` consecutive trials (a binomial draw): exactly
+    /// `trials` draws of `next_u64`.
+    #[inline]
+    pub fn count(self, trials: usize, rng: &mut DetRng) -> usize {
+        (0..trials).map(|_| usize::from(self.sample(rng))).sum()
+    }
+}
 
 /// Deterministic xoshiro256** generator.
 ///
@@ -66,7 +151,7 @@ impl DetRng {
 
     /// Uniform value in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Uniform value in `[0, 1)` as `f32`.
@@ -85,9 +170,11 @@ impl DetRng {
         ((u128::from(self.next_u64()) * bound as u128) >> 64) as usize
     }
 
-    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
+    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`): one
+    /// [`Bernoulli`] sample, so one draw. Loops over a fixed `p` should
+    /// build the [`Bernoulli`] once instead.
     pub fn bernoulli(&mut self, p: f64) -> bool {
-        self.next_f64() < p.clamp(0.0, 1.0)
+        Bernoulli::new(p).sample(self)
     }
 
     /// Standard-normal-ish sample via the sum of 12 uniforms (Irwin–Hall),
@@ -178,6 +265,15 @@ mod tests {
         let mut rng = DetRng::new(11);
         let hits = (0..10_000).filter(|_| rng.bernoulli(0.13)).count();
         assert!((1100..1500).contains(&hits), "got {hits}");
+    }
+
+    #[test]
+    fn bernoulli_count_mean_is_plausible() {
+        let mut rng = DetRng::new(3);
+        let coin = Bernoulli::new(0.25);
+        let total: usize = (0..2000).map(|_| coin.count(32, &mut rng)).sum();
+        let mean = total as f64 / 2000.0;
+        assert!((mean - 8.0).abs() < 0.3, "mean {mean}");
     }
 
     #[test]

@@ -30,7 +30,6 @@ fn chaos_config() -> SimConfig {
     SimConfig {
         rowgroup_samples: 21,
         slice_samples: 4,
-        act_samples: 4,
         ..SimConfig::fast()
     }
 }

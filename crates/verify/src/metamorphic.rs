@@ -146,7 +146,6 @@ fn sim_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 8,
         slice_samples: 8,
-        act_samples: 8,
         ..SimConfig::fast()
     }
 }

@@ -25,7 +25,6 @@ fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 11,
         slice_samples: 8,
-        act_samples: 8,
         ..SimConfig::paper_default()
     }
 }

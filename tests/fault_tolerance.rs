@@ -23,7 +23,6 @@ fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 16,
         slice_samples: 10,
-        act_samples: 10,
         ..SimConfig::paper_default()
     }
 }

@@ -14,9 +14,10 @@
 //!
 //! The final test closes the loop end to end: every architecture in the
 //! registry renders a byte-identical `eureka simulate` report across
-//! repeated runs, and the five architectures pinned by the committed
-//! `results/BENCH_2.json` still report the exact cycle counts recorded
-//! before the overhaul.
+//! repeated runs and reports the exact cycle count pinned for it (the
+//! five one-sided archs of the committed `results/BENCH_2.json`, recorded
+//! before the overhaul, among them), and the two-sided DSTC and SparTen
+//! samplers are pinned on clustered BERT as well.
 
 use eureka::fp16::arith::{self, Prepared};
 use eureka::fp16::{csa, mac, MacUnit, F16};
@@ -24,7 +25,7 @@ use eureka::models::{Benchmark, PruningLevel, Workload};
 use eureka::sim::{arch, engine, SimConfig, TileKey};
 use eureka::sparse::bitmask::MaskedRow;
 use eureka::sparse::canon::{self, RowOrder};
-use eureka::sparse::rng::DetRng;
+use eureka::sparse::rng::{self, Bernoulli, DetRng};
 use eureka::sparse::{SparsityPattern, TilePattern};
 use proptest::prelude::*;
 
@@ -252,22 +253,131 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // The branchless integer-threshold Bernoulli used by tile sampling:
-    // `(next_u64() >> 11) < ⌈d·2⁵³⌉` must equal `next_f64() < d` draw
-    // for draw, or sampled reports change bytes.
+    // The integer-threshold Bernoulli every sampler uses: its proof lives
+    // on `eureka_sparse::rng::Bernoulli`. Outcomes must equal the `f64`
+    // compare `next_f64() < p` draw for draw, and use one draw per trial,
+    // or sampled reports change bytes.
     // ------------------------------------------------------------------
 
     #[test]
     fn integer_threshold_bernoulli_matches_f64_compare(
-        num in 0u64..=(1u64 << 53),
+        frac in any::<u64>(),
+        grid in 0u64..=STEPS,
+        side in 0u8..3,
+        offset in any::<u64>(),
         seed in 0u64..10_000,
     ) {
-        let d = num as f64 / (1u64 << 53) as f64; // dense in [0, 1]
-        let thr = (d.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64;
-        let mut by_float = DetRng::new(seed);
-        let mut by_int = by_float.clone();
-        for _ in 0..64 {
-            prop_assert_eq!(by_float.bernoulli(d), by_int.next_u64() >> 11 < thr);
+        // Arbitrary in [-0.5, 1.5), then a grid point `grid · 2⁻⁵³` of
+        // `next_f64`'s outputs and its neighbour below or above: off the
+        // grid, `p · 2⁵³` has a fraction and the threshold's ceil matters.
+        let arbitrary = -0.5 + 2.0 * rng::unit_f64(frac);
+        let on_grid = grid as f64 * GRID;
+        let near_grid = match side {
+            0 => on_grid.next_down(),
+            1 => on_grid,
+            _ => on_grid.next_up(),
+        };
+        for p in [arbitrary, near_grid] {
+            check_bernoulli(p, seed);
+            // Random draws land next to the threshold with odds ~2⁻⁵³, so
+            // also try the raw draws that straddle it.
+            for raw in boundary_draws(p, offset) {
+                prop_assert_eq!(
+                    Bernoulli::new(p).accepts(raw),
+                    rng::unit_f64(raw) < p,
+                    "p {:e} raw {:#x}",
+                    p,
+                    raw
+                );
+            }
+        }
+    }
+}
+
+/// Spacing of `next_f64`'s outputs, `2⁻⁵³`.
+const GRID: f64 = f64::EPSILON / 2.0;
+
+/// Number of distinct `next_f64` outputs (the top 53 bits of a draw).
+const STEPS: u64 = 1 << 53;
+
+/// Raw draws whose top 53 bits sit one below, at and one above the
+/// integer part of `p · 2⁵³` (where it lies in the draw range); `offset`
+/// fills the 11 discarded low bits.
+fn boundary_draws(p: f64, offset: u64) -> Vec<u64> {
+    let top = (p.clamp(0.0, 1.0) / GRID).floor() as u64;
+    [top.wrapping_sub(1), top, top + 1]
+        .into_iter()
+        .filter(|&x| x < STEPS)
+        .map(|x| x << 11 | (offset & 0x7FF))
+        .collect()
+}
+
+/// `Bernoulli::new(p)`'s `sample` and `count`, and `DetRng::bernoulli`,
+/// against the `f64` compare on identical streams, each consuming exactly
+/// one draw per trial.
+fn check_bernoulli(p: f64, seed: u64) {
+    let coin = Bernoulli::new(p);
+    let mut by_float = DetRng::new(seed);
+    let (mut by_sample, mut by_method, mut by_count) =
+        (by_float.clone(), by_float.clone(), by_float.clone());
+    let mut hits = 0;
+    for _ in 0..64 {
+        let expect = by_float.next_f64() < p;
+        hits += usize::from(expect);
+        assert_eq!(coin.sample(&mut by_sample), expect, "sample, p {p:e}");
+        assert_eq!(by_method.bernoulli(p), expect, "DetRng::bernoulli, p {p:e}");
+    }
+    assert_eq!(coin.count(64, &mut by_count), hits, "count, p {p:e}");
+    let next = by_float.next_u64();
+    for (mut stream, what) in [
+        (by_sample, "sample"),
+        (by_method, "bernoulli"),
+        (by_count, "count"),
+    ] {
+        assert_eq!(
+            stream.next_u64(),
+            next,
+            "{what} drew other than one value per trial"
+        );
+    }
+}
+
+/// The values the proof treats as edge cases: both ends, signed zero,
+/// subnormals, the grid's first step and the neighbours of 1, values
+/// outside `[0, 1]`, infinities and NaN.
+#[test]
+fn bernoulli_edge_probabilities_match_f64_compare() {
+    let tiny = f64::from_bits(1);
+    let edges = [
+        0.0,
+        -0.0,
+        1.0,
+        tiny,
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE.next_down(),
+        GRID,
+        GRID.next_down(),
+        GRID.next_up(),
+        0.5 * GRID,
+        1.5 * GRID,
+        0.5,
+        1.0f64.next_down(),
+        1.0f64.next_up(),
+        -tiny,
+        -0.5,
+        1.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    for (i, &p) in edges.iter().enumerate() {
+        check_bernoulli(p, i as u64);
+        for raw in boundary_draws(p, 0x5A5).into_iter().chain([0, u64::MAX]) {
+            assert_eq!(
+                Bernoulli::new(p).accepts(raw),
+                rng::unit_f64(raw) < p,
+                "p {p:e} raw {raw:#x}"
+            );
         }
     }
 }
@@ -308,37 +418,64 @@ fn mul_prepared_specials_cross_product() {
 }
 
 /// End to end: every registry architecture renders a byte-identical
-/// simulate report across independent runs, and the five architectures
-/// recorded in `results/BENCH_2.json` (MobileNetV1, moderate pruning,
-/// batch 32, fast sampling) still produce the exact pre-overhaul cycle
-/// counts.
+/// simulate report across independent runs and produces its exact pinned
+/// cycle count (MobileNetV1, moderate pruning, batch 32, fast sampling),
+/// and DSTC and SparTen produce theirs on BERT as well.
 #[test]
 fn simulate_reports_are_byte_identical_across_all_archs() {
-    const PINNED: [(&str, u64); 5] = [
+    // The first five are the committed `results/BENCH_2.json` counts; the
+    // rest were recorded while every sampler still drew through the `f64`
+    // Bernoulli compare the integer threshold replaced.
+    const PINNED: [(&str, u64); 16] = [
         ("dense", 774_467),
         ("ampere", 420_306),
         ("cnvlutin", 449_410),
         ("eureka-p2", 272_145),
         ("eureka-p4", 252_211),
+        ("ideal", 225_278),
+        ("dstc", 368_582),
+        ("sparten", 163_917),
+        ("s2ta", 325_852),
+        ("eureka-unopt", 509_567),
+        ("compaction-p4", 449_410),
+        ("greedy-suds", 370_077),
+        ("optimal-suds", 292_227),
+        ("eureka-no-suds", 366_727),
+        ("eureka-reach2", 238_261),
+        ("eureka-act-gate", 252_211),
     ];
-    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    // Clustered BERT: DSTC's two-call mixture branch and SparTen's
+    // per-chunk `tile_density` draws.
+    const PINNED_BERT: [(&str, u64); 2] = [("dstc", 27_414_203), ("sparten", 7_185_794)];
     let cfg = SimConfig::fast();
     let names = arch::registry_names();
     assert_eq!(names.len(), 16, "registry arch count");
+    let mobilenet = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     for name in names {
-        let first = engine::simulate(&*arch::by_name(name).unwrap(), &w, &cfg);
-        let second = engine::simulate(&*arch::by_name(name).unwrap(), &w, &cfg);
+        let first = engine::simulate(&*arch::by_name(name).unwrap(), &mobilenet, &cfg);
+        let second = engine::simulate(&*arch::by_name(name).unwrap(), &mobilenet, &cfg);
         assert_eq!(
             first.to_csv(),
             second.to_csv(),
             "simulate report for {name} drifted between runs"
         );
-        if let Some(&(_, cycles)) = PINNED.iter().find(|(n, _)| *n == name) {
-            assert_eq!(
-                first.total_cycles(),
-                cycles,
-                "{name} no longer matches the committed BENCH_2 cycle count"
-            );
-        }
+        let &(_, cycles) = PINNED
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("{name} has no pinned cycle count"));
+        assert_eq!(
+            first.total_cycles(),
+            cycles,
+            "{name} no longer matches its pinned MobileNetV1 cycle count"
+        );
+    }
+    let bert = Workload::new(Benchmark::BertSquad, PruningLevel::Moderate, 32);
+    for (name, cycles) in PINNED_BERT {
+        let report = engine::simulate(&*arch::by_name(name).unwrap(), &bert, &cfg);
+        assert_eq!(
+            report.total_cycles(),
+            cycles,
+            "{name} no longer matches its pinned BERT cycle count"
+        );
     }
 }

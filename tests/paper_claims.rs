@@ -15,7 +15,6 @@ fn cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 12,
         slice_samples: 12,
-        act_samples: 12,
         ..SimConfig::paper_default()
     }
 }

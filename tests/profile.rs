@@ -12,7 +12,6 @@ fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 11,
         slice_samples: 11,
-        act_samples: 11,
         ..SimConfig::paper_default()
     }
 }

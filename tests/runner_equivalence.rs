@@ -28,7 +28,6 @@ fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 10,
         slice_samples: 10,
-        act_samples: 10,
         ..SimConfig::paper_default()
     }
 }

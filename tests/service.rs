@@ -25,7 +25,6 @@ fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 5,
         slice_samples: 5,
-        act_samples: 5,
         ..SimConfig::fast()
     }
 }

@@ -21,7 +21,6 @@ fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 9,
         slice_samples: 9,
-        act_samples: 9,
         ..SimConfig::paper_default()
     }
 }
@@ -289,7 +288,6 @@ fn service_counters_reconcile_at_quiescence() {
     cfg.sim = SimConfig {
         rowgroup_samples: 20, // distinctive: this test owns its entries
         slice_samples: 5,
-        act_samples: 5,
         ..SimConfig::fast()
     };
     cfg.queue_capacity = 1;
