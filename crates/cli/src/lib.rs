@@ -166,10 +166,6 @@ pub struct RunOpts {
     pub jobs: Option<usize>,
     /// Diagnostic verbosity (0, 1 = `-v`, 2 = `-vv`).
     pub verbose: u8,
-    /// Persist canonical tile results under this directory.
-    pub store_dir: Option<String>,
-    /// Disable the tile-result store (even the in-process hot tier).
-    pub no_store: bool,
     /// Stream the run-event JSONL here (`-` = stdout).
     pub events_out: Option<String>,
     /// Progress-line policy (`None` = auto: on iff stderr is a tty).
@@ -229,7 +225,6 @@ USAGE:
   eureka figure <table1|table2|fig09|fig11|fig12|fig13|fig14|ablations>
                   [--csv] [--fast] [--jobs <N>]
                   [--retries <N>] [--checkpoint-dir <dir>] [--resume]
-                  [--store-dir <dir>] [--no-store]
                   [--events-out <file|->] [--progress|--no-progress]
                   [--ledger-dir <dir>|--no-ledger]
                   [--trace-out <file>] [--metrics-out <file>] [-v|-vv]
@@ -238,13 +233,11 @@ USAGE:
                   [--batch <N>] [--csv] [--fast] [--jobs <N>]
                   [--keep-going] [--max-failures <N>] [--retries <N>]
                   [--checkpoint-dir <dir>] [--resume]
-                  [--store-dir <dir>] [--no-store]
                   [--events-out <file|->] [--progress|--no-progress]
                   [--ledger-dir <dir>|--no-ledger]
                   [--trace-out <file>] [--metrics-out <file>] [-v|-vv]
   eureka profile  --benchmark <name> [--pruning <level>] [--arch <name>]
                   [--batch <N>] [--fast] [--jobs <N>] [--top-tiles <N>]
-                  [--store-dir <dir>] [--no-store]
                   [--events-out <file|->] [--progress|--no-progress]
                   [--ledger-dir <dir>|--no-ledger]
                   [--json <file|->] [--heatmap <file|->]
@@ -257,7 +250,7 @@ USAGE:
                   [--corpus-dir <dir>] [--replay <dir>] [--fault-matrix]
                   [--chaos]
   eureka serve    [--socket <path>] [--journal-dir <dir>]
-                  [--checkpoint-dir <dir>] [--store-dir <dir>]
+                  [--checkpoint-dir <dir>]
                   [--capacity <N>] [--deadline-ms <N>] [--jobs <N>] [--fast]
                   [--metrics-out <file>] [--flightrec-dir <dir>]
                   [--sla-budget-us <N>] [--ledger-dir <dir>|--no-ledger]
@@ -281,15 +274,6 @@ FAULT TOLERANCE:
                         content hash, for crash recovery
   --resume              replay completed units from --checkpoint-dir
                         bit-identically instead of recomputing them
-
-RESULT STORE:
-  --store-dir <dir>     persist canonical tile results (content-addressed by
-                        row-length signature) across runs: a warmed store
-                        replays every tile of a repeated sweep with zero
-                        re-simulation and byte-identical reports
-  --no-store            disable the tile-result store entirely, including
-                        the in-process hot tier (output is identical either
-                        way; the store only removes redundant work)
 
 TELEMETRY:
   --trace-out <file>    Chrome Trace Event JSON of the run (one track per
@@ -457,21 +441,12 @@ impl RunOpts {
             "--jobs" => self.jobs = Some(args.jobs()?),
             "-v" | "--verbose" => self.verbose = self.verbose.saturating_add(1),
             "-vv" => self.verbose = self.verbose.saturating_add(2),
-            "--store-dir" => self.store_dir = Some(args.value(flag)?),
-            "--no-store" => self.no_store = true,
             "--events-out" => self.events_out = Some(args.value(flag)?),
             "--progress" => self.progress = Some(true),
             "--no-progress" => self.progress = Some(false),
             _ => return self.ledger.accept(flag, args),
         }
         Ok(true)
-    }
-
-    fn check(&self) -> Result<(), String> {
-        if self.no_store && self.store_dir.is_some() {
-            return Err("--no-store conflicts with --store-dir".into());
-        }
-        self.ledger.check()
     }
 
     fn sim_config(&self) -> SimConfig {
@@ -515,7 +490,7 @@ impl BatchOpts {
         if self.resume && self.checkpoint_dir.is_none() {
             return Err("--resume requires --checkpoint-dir".into());
         }
-        run.check()?;
+        run.ledger.check()?;
         if self.csv && run.events_to_stdout() {
             return Err("--events-out - conflicts with --csv (both claim stdout)".into());
         }
@@ -788,7 +763,7 @@ where
             if stdout_exports > 1 {
                 return Err("at most one profile export may write to stdout ('-')".into());
             }
-            run.check()?;
+            run.ledger.check()?;
             Ok(Command::Profile {
                 workload,
                 run,
@@ -881,7 +856,6 @@ where
                 socket: "eureka.sock".into(),
                 journal_dir: "eureka-journal".into(),
                 checkpoint_dir: None,
-                store_dir: None,
                 capacity: 8,
                 deadline_ms: 0,
                 jobs: 1,
@@ -899,7 +873,6 @@ where
                     "--socket" => opts.socket = args.value(flag)?,
                     "--journal-dir" => opts.journal_dir = args.value(flag)?,
                     "--checkpoint-dir" => opts.checkpoint_dir = Some(args.value(flag)?),
-                    "--store-dir" => opts.store_dir = Some(args.value(flag)?),
                     "--capacity" => {
                         opts.capacity = args.parse(flag)?;
                         if opts.capacity == 0 {
@@ -994,7 +967,7 @@ struct RunScope<'a> {
     started: std::time::Instant,
     /// `--jobs` set the process-wide worker count.
     set_jobs: bool,
-    /// Retry, checkpoint or store flags set their process-wide defaults.
+    /// Retry or checkpoint flags set their process-wide defaults.
     set_runner: bool,
 }
 
@@ -1028,16 +1001,12 @@ impl<'a> RunScope<'a> {
         if let Some(dir) = checkpoint_dir {
             runner::set_global_checkpoint(Some((dir.into(), resume)));
         }
-        let store_flag = run.store_dir.is_some() || run.no_store;
-        if store_flag {
-            runner::set_global_store(run.store_dir.as_ref().map(Into::into), !run.no_store);
-        }
         let scope = RunScope {
             run,
             batch,
             started: std::time::Instant::now(),
             set_jobs: run.jobs.is_some(),
-            set_runner: retries > 0 || checkpoint_dir.is_some() || store_flag,
+            set_runner: retries > 0 || checkpoint_dir.is_some(),
         };
         eureka_obs::events::arm(writer);
         progress::set_mode(match run.progress {
@@ -1098,7 +1067,6 @@ impl Drop for RunScope<'_> {
         if self.set_runner {
             runner::set_global_retry(eureka_sim::RetryPolicy::NONE);
             runner::set_global_checkpoint(None);
-            runner::set_global_store(None, true);
         }
     }
 }
@@ -1191,9 +1159,9 @@ fn run_bench_diff(baseline: &str, candidate: &str, max_regress: f64) -> Result<S
 }
 
 /// Surfaces degradation counters in the human-readable end-of-run
-/// report: unit failures by kind, store shard errors, checkpoint
-/// decode errors, retry-backoff sleep time, journal decode errors.
-/// Healthy runs (all zero) add nothing.
+/// report: unit failures by kind, checkpoint decode errors,
+/// retry-backoff sleep time, journal decode errors. Healthy runs (all
+/// zero) add nothing.
 fn health_warning_lines() -> String {
     let c = |name: &str| eureka_obs::metrics::counter_value(name).unwrap_or(0);
     let mut out = String::new();
@@ -1205,12 +1173,6 @@ fn health_warning_lines() -> String {
     if panics + sims + cancelled > 0 {
         out.push_str(&format!(
             "  unit failures  : {panics} panic, {sims} sim-error, {cancelled} cancelled\n"
-        ));
-    }
-    let store_errors = c("store.errors");
-    if store_errors > 0 {
-        out.push_str(&format!(
-            "  store errors   : {store_errors} (unreadable/unwritable shards; tiles recomputed)\n"
         ));
     }
     let ckpt_errors = c("checkpoint.errors");
@@ -1648,7 +1610,6 @@ mod tests {
             socket: "eureka.sock".into(),
             journal_dir: "eureka-journal".into(),
             checkpoint_dir: None,
-            store_dir: None,
             capacity: 8,
             deadline_ms: 0,
             jobs: 1,
@@ -1920,26 +1881,30 @@ mod tests {
                 "bench list --bogus",
                 Err("unknown flag '--bogus' for bench list"),
             ),
-            // tile store
+            // The tile store has no flags: it is always an in-process memo.
             (
                 "simulate --benchmark bert --store-dir tiles",
-                Ok(simulate(|r, _| r.store_dir = some("tiles"))),
+                Err("unknown flag '--store-dir' for simulate"),
+            ),
+            (
+                "simulate --benchmark bert --no-store",
+                Err("unknown flag '--no-store' for simulate"),
+            ),
+            (
+                "profile --benchmark bert --store-dir t",
+                Err("unknown flag '--store-dir' for profile"),
             ),
             (
                 "profile --benchmark bert --no-store",
-                Ok(profile(BertSquad, |r| r.no_store = true)),
+                Err("unknown flag '--no-store' for profile"),
             ),
             (
                 "figure fig11 --store-dir t",
-                Ok(figure(|r, _| r.store_dir = some("t"))),
+                Err("unknown flag '--store-dir' for figure"),
             ),
             (
-                "simulate --benchmark bert --store-dir t --no-store",
-                Err("--no-store conflicts with --store-dir"),
-            ),
-            (
-                "figure fig11 --store-dir t --no-store",
-                Err("--no-store conflicts with --store-dir"),
+                "figure fig11 --no-store",
+                Err("unknown flag '--no-store' for figure"),
             ),
             // events, progress, ledger
             (
@@ -1977,14 +1942,13 @@ mod tests {
             // service commands
             ("serve", Ok(serve(|_| {}))),
             (
-                "serve --socket /tmp/e.sock --journal-dir j --checkpoint-dir c --store-dir s \
+                "serve --socket /tmp/e.sock --journal-dir j --checkpoint-dir c \
                  --capacity 3 --deadline-ms 500 --jobs 2 --fast --metrics-out m.prom \
                  --sla-budget-us 250000 --flightrec-dir fr --ledger-dir l",
                 Ok(serve(|o| {
                     o.socket = "/tmp/e.sock".into();
                     o.journal_dir = "j".into();
                     o.checkpoint_dir = some("c");
-                    o.store_dir = some("s");
                     o.capacity = 3;
                     o.deadline_ms = 500;
                     o.jobs = 2;
@@ -2007,6 +1971,10 @@ mod tests {
                 Err("--sla-budget-us must be positive"),
             ),
             ("serve --bogus", Err("unknown flag '--bogus' for serve")),
+            (
+                "serve --store-dir s",
+                Err("unknown flag '--store-dir' for serve"),
+            ),
             (
                 "submit --benchmark mobilenetv1 --deadline-ms 250 --retries 2 --wait",
                 Ok(Command::Submit {
@@ -2097,7 +2065,7 @@ mod tests {
             .flat_map(|(_, flags)| flags.iter().map(|(f, _)| f.as_str()))
             .filter(|f| f.starts_with("--"))
             .collect();
-        assert!(all.len() > 40, "USAGE scan found only {all:?}");
+        assert!(all.len() >= 40, "USAGE scan found only {all:?}");
         for (cmd, flags) in subcommands.iter().filter(|(_, f)| !f.is_empty()) {
             let base: Vec<&str> = match cmd.as_str() {
                 "figure" => vec!["figure", "fig11"],
@@ -2418,46 +2386,6 @@ mod tests {
     }
 
     #[test]
-    fn run_simulate_store_dir_persists_tiles_and_warm_run_is_identical() {
-        let dir = std::env::temp_dir().join(format!("eureka-cli-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let args: Vec<String> = [
-            "simulate",
-            "--benchmark",
-            "inception",
-            "--arch",
-            "eureka-p2",
-            "--batch",
-            "7",
-            "--fast",
-            "--csv",
-            "--store-dir",
-            dir.to_str().unwrap(),
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        let cold = run(&parse(args.clone()).unwrap()).unwrap();
-        // Drop every in-process tier (flushing dirty records to `dir`
-        // first), so the warm run below can only be served from disk.
-        eureka_sim::runner::cache_reset();
-        let shards = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .path()
-                    .extension()
-                    .is_some_and(|x| x == "tiles")
-            })
-            .count();
-        assert!(shards > 0, "tile shard files written under --store-dir");
-        let warm = run(&parse(args).unwrap()).unwrap();
-        assert_eq!(cold, warm, "a store-warmed run must be bit-identical");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn run_bench_list_empty_and_diff_gate() {
         let dir = std::env::temp_dir().join(format!("eureka-cli-bench-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2616,15 +2544,14 @@ mod tests {
     }
 
     #[test]
-    fn report_surfaces_failure_and_store_counters_only_when_nonzero() {
+    fn report_surfaces_failure_and_recovery_counters_only_when_nonzero() {
         use eureka_obs::metrics::{counter, Class};
-        // No cli test drives a failing or store-degraded run, so these
+        // No cli test drives a failing or degraded run, so these
         // counters are ours alone to set here.
         let names = [
             "runner.failures.panic",
             "runner.failures.sim_error",
             "runner.failures.cancelled",
-            "store.errors",
             "checkpoint.errors",
             "runner.backoff.slept_us",
             "journal.errors",
@@ -2635,7 +2562,6 @@ mod tests {
         assert_eq!(health_warning_lines(), "", "healthy runs stay silent");
 
         counter("runner.failures.panic", Class::Deterministic).add(2);
-        counter("store.errors", Class::Deterministic).add(3);
         counter("checkpoint.errors", Class::Deterministic).inc();
         counter("runner.backoff.slept_us", Class::Deterministic).add(1_500);
         counter("journal.errors", Class::Deterministic).add(4);
@@ -2644,7 +2570,6 @@ mod tests {
             counter(name, Class::Deterministic).reset();
         }
         assert!(warnings.contains("unit failures  : 2 panic"), "{warnings}");
-        assert!(warnings.contains("store errors   : 3"), "{warnings}");
         assert!(warnings.contains("ckpt errors    : 1"), "{warnings}");
         assert!(
             warnings.contains("backoff        : 1500 us slept"),

@@ -24,8 +24,6 @@ pub struct ServeOpts {
     pub journal_dir: String,
     /// Unit checkpoint directory (resume across restarts).
     pub checkpoint_dir: Option<String>,
-    /// Tile result store directory.
-    pub store_dir: Option<String>,
     /// Admission queue bound.
     pub capacity: usize,
     /// Default per-job deadline in ms (0 = none).
@@ -98,9 +96,9 @@ mod imp {
         }
 
         // SIGTERM/SIGINT or a `shutdown` request: finish in-flight
-        // work, shed everything new, then leave. Journal records and
-        // store tiles are already durable (written in-line), so the
-        // drain needs no extra flush.
+        // work, shed everything new, then leave. Journal records are
+        // already durable (written in-line), so the drain needs no extra
+        // flush.
         let drained = service.drain();
         export_observability(opts, &service);
         service.shutdown();
@@ -230,7 +228,6 @@ mod imp {
             SimConfig::paper_default()
         };
         cfg.checkpoint_dir = opts.checkpoint_dir.as_ref().map(PathBuf::from);
-        cfg.store_dir = opts.store_dir.as_ref().map(PathBuf::from);
         cfg.flightrec_dir = PathBuf::from(&opts.flightrec_dir);
         cfg
     }

@@ -46,7 +46,6 @@ pub const KINDS: &[(&str, &[&str])] = &[
     ("retry", &["unit", "attempt", "kind"]),
     ("failure", &["unit", "kind", "attempts", "payload"]),
     ("checkpoint-written", &["unit"]),
-    ("store-flush", &[]),
     ("run-finished", &["units", "failures"]),
     // Job-service lifecycle (eureka serve).
     ("job-accepted", &["job", "key"]),

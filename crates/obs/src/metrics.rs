@@ -9,8 +9,8 @@
 //! * [`Class::Deterministic`] — counts and cycle-derived values that are
 //!   byte-identical across reruns of the same work (the `runner.*` /
 //!   `cache.*` / `checkpoint.*` unit accounting and the `store.*`
-//!   tile-store family: `store.lookups` / `hits` / `misses` / `inserts`
-//!   / `evictions` / `errors`).
+//!   tile-store family: `store.lookups` / `hits` / `misses` /
+//!   `inserts`).
 //! * [`Class::Timing`] — wall-clock derived (exec-time histograms,
 //!   utilization); excluded from the deterministic snapshot **by
 //!   design** so `snapshot_json(false)` can be diffed across runs.

@@ -56,11 +56,10 @@
 //! content-addressed tile store ([`crate::store`]). Planning plants a
 //! [`TileBroker`] in every unit's [`LayerCtx`]; tile-timer architectures
 //! resolve each sampled tile through it, so tiles with equal canonical
-//! row-length signatures are simulated once per process (hot tier) — or
-//! once *ever*, when [`Runner::with_store_dir`] persists outcomes across
-//! runs. A unit whose tiles all came from the store still executes (its
-//! RNG streams advance identically, keeping reports bit-identical to a
-//! cold run) but performs zero tile simulations; such units count toward
+//! row-length signatures are simulated once per process. A unit whose
+//! tiles all came from the store still executes (its RNG streams advance
+//! identically, keeping reports bit-identical to a cold run) but performs
+//! zero tile simulations; such units count toward
 //! `runner.units_from_store` instead of `cache.misses`.
 //!
 //! # Telemetry
@@ -84,7 +83,7 @@
 //! `eureka-events-v1` stream — `run-started`, `unit-planned` per unit,
 //! `unit-started` / `unit-finished` (with its `cache` / `checkpoint` /
 //! `store` / `computed` source classification), `retry` / `failure`,
-//! `checkpoint-written`, `store-flush`, `run-finished`. Every emit site
+//! `checkpoint-written`, `run-finished`. Every emit site
 //! is guarded by one relaxed atomic load and feeds nothing back into
 //! simulation, so event-instrumented runs stay bit-identical too.
 
@@ -274,12 +273,6 @@ static GLOBAL_RETRY: Mutex<RetryPolicy> = Mutex::new(RetryPolicy::NONE);
 /// `--resume` flags land here.
 static GLOBAL_CHECKPOINT: Mutex<Option<(PathBuf, bool)>> = Mutex::new(None);
 
-/// Process-wide default tile-store configuration `(dir, enabled)`,
-/// consumed only by [`Runner::default`] — the CLI's `--store-dir` /
-/// `--no-store` flags land here. The in-memory hot tier defaults to
-/// enabled with no persistence directory.
-static GLOBAL_STORE: Mutex<(Option<PathBuf>, bool)> = Mutex::new((None, true));
-
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // The runner must stay usable after a unit panic was caught while
     // some other thread held a shared lock: recover the data instead of
@@ -307,15 +300,6 @@ pub fn set_global_retry(policy: RetryPolicy) {
 /// files and whether to resume from entries already present.
 pub fn set_global_checkpoint(cfg: Option<(PathBuf, bool)>) {
     *lock(&GLOBAL_CHECKPOINT) = cfg;
-}
-
-/// Sets the process-wide default tile-store configuration, consumed only
-/// by [`Runner::default`]: an optional persistence directory for tile
-/// outcomes and whether the store participates at all (`enabled =
-/// false` disables even the in-memory hot tier). Explicitly constructed
-/// runners are unaffected.
-pub fn set_global_store(dir: Option<PathBuf>, enabled: bool) {
-    *lock(&GLOBAL_STORE) = (dir, enabled);
 }
 
 /// The process-wide unit cache. Hit/miss/insert counts live in the
@@ -458,9 +442,7 @@ pub fn clear_cache() {
 /// the `cache.*`, `checkpoint.*`, `store.*`, `runner.units_from_store`,
 /// `runner.failures.*` and `runner.retries.*` counters, so callers can
 /// assert exact counts no matter what ran earlier in the process (test
-/// execution order, warm-up passes, ...). Dirty tile records are flushed
-/// to their store directories first — a cold-start measurement must not
-/// silently discard persistent state (see [`store::store_reset`]).
+/// execution order, warm-up passes, ...).
 pub fn cache_reset() {
     let t = telemetry();
     lock(&cache().map).clear();
@@ -627,47 +609,14 @@ pub struct Runner {
     cancel: Option<CancelToken>,
     checkpoint: Option<CheckpointCfg>,
     store_enabled: bool,
-    store_dir: Option<PathBuf>,
-}
-
-/// How the plan phase wires work units to the tile store, resolved once
-/// per run so every unit shares one disk-tier handle (and one shard
-/// cache) instead of re-opening the directory per layer.
-enum BrokerSource {
-    Disabled,
-    Enabled(Option<Arc<store::DiskTier>>),
-}
-
-impl BrokerSource {
-    /// A fresh per-unit broker (each unit tallies its own lookups).
-    fn broker(&self) -> TileBroker {
-        match self {
-            BrokerSource::Disabled => TileBroker::disabled(),
-            BrokerSource::Enabled(disk) => TileBroker::enabled(disk.clone()),
-        }
-    }
-
-    /// Persists tile outcomes computed during this run, if a store
-    /// directory is attached.
-    fn flush(&self) {
-        if let BrokerSource::Enabled(Some(disk)) = self {
-            disk.flush();
-        }
-    }
-
-    /// Whether a persistent disk tier is attached (and [`Self::flush`]
-    /// therefore actually writes).
-    fn has_disk(&self) -> bool {
-        matches!(self, BrokerSource::Enabled(Some(_)))
-    }
 }
 
 impl Default for Runner {
     /// The standard drive path: parallel across all cores (or the
     /// [`set_global_jobs`] override), with the unit cache enabled, and the
-    /// process-wide [`set_global_retry`] / [`set_global_checkpoint`] /
-    /// [`set_global_store`] settings applied (explicit constructors
-    /// ignore those, so tests composing their own runners stay isolated).
+    /// process-wide [`set_global_retry`] / [`set_global_checkpoint`]
+    /// settings applied (explicit constructors ignore those, so tests
+    /// composing their own runners stay isolated).
     fn default() -> Self {
         let mut runner = Runner::parallel();
         runner.retry = *lock(&GLOBAL_RETRY);
@@ -677,9 +626,6 @@ impl Default for Runner {
                 store: CheckpointStore::new(dir),
                 resume,
             });
-        let (store_dir, store_enabled) = lock(&GLOBAL_STORE).clone();
-        runner.store_dir = store_dir;
-        runner.store_enabled = store_enabled;
         runner
     }
 }
@@ -696,7 +642,6 @@ impl Runner {
             cancel: None,
             checkpoint: None,
             store_enabled: true,
-            store_dir: None,
         }
     }
 
@@ -712,7 +657,6 @@ impl Runner {
             cancel: None,
             checkpoint: None,
             store_enabled: true,
-            store_dir: None,
         }
     }
 
@@ -727,7 +671,6 @@ impl Runner {
             cancel: None,
             checkpoint: None,
             store_enabled: true,
-            store_dir: None,
         }
     }
 
@@ -782,34 +725,12 @@ impl Runner {
     }
 
     /// Disables the tile-result store for this runner: every sampled
-    /// tile is simulated directly, with no hot-tier sharing and no disk
-    /// I/O. Output is bit-identical either way — the store only removes
-    /// redundant work.
+    /// tile is simulated directly, with no hot-tier sharing. Output is
+    /// bit-identical either way — the store only removes redundant work.
     #[must_use]
     pub fn without_store(mut self) -> Self {
         self.store_enabled = false;
-        self.store_dir = None;
         self
-    }
-
-    /// Persists tile outcomes under `dir` ([`crate::store`] shard
-    /// files): cold runs record every computed tile, and later runs —
-    /// including fresh processes — replay them instead of re-simulating.
-    #[must_use]
-    pub fn with_store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.store_enabled = true;
-        self.store_dir = Some(dir.into());
-        self
-    }
-
-    /// Resolves this runner's store configuration into the broker source
-    /// the plan phase plants into each unit.
-    fn broker_source(&self) -> BrokerSource {
-        if self.store_enabled {
-            BrokerSource::Enabled(self.store_dir.as_deref().map(store::disk_tier_for))
-        } else {
-            BrokerSource::Disabled
-        }
     }
 
     /// The worker count this runner would use right now.
@@ -874,14 +795,13 @@ impl Runner {
             events::emit(Event::new("run-started").wall_u64("jobs", jobs.len() as u64));
         }
         // Plan: enumerate every job's per-layer units.
-        let tiles = self.broker_source();
         let mut units = Vec::new();
         let mut ranges = Vec::with_capacity(jobs.len());
         {
             let _plan_span = eureka_obs::span!("runner.plan");
             for job in jobs {
                 let start = units.len();
-                plan(job, &mut units, &tiles);
+                plan(job, &mut units, self.store_enabled);
                 ranges.push(start..units.len());
             }
         }
@@ -902,12 +822,6 @@ impl Runner {
         }
         // Execute: serial order or index-claimed pool, cache-first.
         let results = self.execute(&units);
-        // Persist tile outcomes computed during this run before reducing,
-        // so a crash in reduce still leaves the store warm.
-        tiles.flush();
-        if events::enabled() && tiles.has_disk() {
-            events::emit(Event::new("store-flush"));
-        }
         // Reduce: reassemble per job, in layer-index order.
         let _reduce_span = eureka_obs::span!("runner.reduce");
         let reduce_started = Instant::now();
@@ -1261,9 +1175,8 @@ impl Runner {
             job.arch.name(),
             job.workload.benchmark().name()
         );
-        let tiles = self.broker_source();
         let mut units = Vec::new();
-        plan(job, &mut units, &tiles);
+        plan(job, &mut units, self.store_enabled);
         let run_started = Instant::now();
         let events_on = events::enabled();
         if events_on {
@@ -1325,10 +1238,6 @@ impl Runner {
             }
             result
         });
-        tiles.flush();
-        if events_on && tiles.has_disk() {
-            events::emit(Event::new("store-flush"));
-        }
         if events_on {
             let failures = results.iter().filter(|r| r.is_err()).count() as u64;
             events::emit(
@@ -1381,8 +1290,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Plans one job into per-layer units appended to `units`, each wired to
-/// the tile store through its own broker from `tiles`.
-fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, tiles: &BrokerSource) {
+/// the process-wide tile store through its own broker when `store` is
+/// set (each unit tallies its own lookups).
+fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, store: bool) {
     let workload = job.workload;
     let bench = workload.benchmark();
     let base_rng = DetRng::new(workload.seed());
@@ -1419,7 +1329,11 @@ fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, tiles: &BrokerSourc
                 s2ta_act_density,
                 s2ta_fil_density,
                 rng: base_rng.fork(stream),
-                tiles: tiles.broker(),
+                tiles: if store {
+                    TileBroker::enabled(None)
+                } else {
+                    TileBroker::disabled()
+                },
                 scratch: scratch.clone(),
             },
             cfg: job.cfg,
@@ -1740,25 +1654,6 @@ mod tests {
     }
 
     #[test]
-    fn global_store_settings_only_affect_default_runners() {
-        let dir = std::env::temp_dir().join(format!("eureka-store-glob-{}", std::process::id()));
-        set_global_store(Some(dir.clone()), true);
-        let d = Runner::default();
-        assert!(d.store_enabled);
-        assert_eq!(d.store_dir.as_deref(), Some(dir.as_path()));
-        set_global_store(None, false);
-        let d = Runner::default();
-        assert!(!d.store_enabled);
-        assert!(d.store_dir.is_none());
-        // Explicit constructors keep the hot tier on, with no directory,
-        // regardless of the globals (test isolation).
-        assert!(Runner::serial().store_enabled);
-        assert!(Runner::serial().store_dir.is_none());
-        assert!(Runner::with_jobs(2).without_store().store_dir.is_none());
-        set_global_store(None, true);
-    }
-
-    #[test]
     fn profiled_run_does_not_perturb_the_report() {
         let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
         let cfg = tiny_cfg();
@@ -1840,7 +1735,7 @@ mod tests {
         let a = arch::dense();
         let job = SimJob::new(&a, &w, tiny_cfg());
         let mut units = Vec::new();
-        plan(&job, &mut units, &BrokerSource::Disabled);
+        plan(&job, &mut units, false);
         let keys: Vec<String> = units.iter().map(|u| u.key.canonical()).collect();
         let mut uniq = keys.clone();
         uniq.sort();
@@ -1848,7 +1743,7 @@ mod tests {
         assert_eq!(uniq.len(), keys.len(), "every unit key is distinct");
         // Same plan, same keys (the stability the checkpoint layer needs).
         let mut units2 = Vec::new();
-        plan(&job, &mut units2, &BrokerSource::Disabled);
+        plan(&job, &mut units2, false);
         let keys2: Vec<String> = units2.iter().map(|u| u.key.canonical()).collect();
         assert_eq!(keys, keys2);
         assert!(keys[0].starts_with("v1|arch=Dense|"));

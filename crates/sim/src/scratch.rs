@@ -127,7 +127,7 @@ mod tests {
         {
             let mut g = pool.acquire();
             g.times.extend([1, 2, 3]);
-            g.key.push_str("v1|x|1");
+            g.key.push_str("x|1");
         }
         // The recycled set keeps its capacity; content is stale by
         // contract (users clear before reading).

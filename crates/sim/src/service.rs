@@ -291,8 +291,6 @@ pub struct ServiceConfig {
     /// Checkpoint directory; when set, completed units persist and a
     /// replayed job resumes instead of recomputing them.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Tile-store directory (passed through to the runner).
-    pub store_dir: Option<PathBuf>,
     /// Runner worker threads per job (`0` = auto).
     pub jobs: usize,
     /// Simulator configuration applied to every job.
@@ -326,7 +324,6 @@ impl ServiceConfig {
             backoff: BackoffPolicy::exponential(500, 50_000),
             journal_dir: journal_dir.into(),
             checkpoint_dir: None,
-            store_dir: None,
             jobs: 1,
             sim: SimConfig::fast(),
             hold: false,
@@ -1185,14 +1182,10 @@ fn run_job(inner: &ServiceInner, spec: &JobSpec, token: &CancelToken) -> Option<
     let mut runner = Runner::with_jobs(inner.cfg.jobs)
         .with_retry(RetryPolicy::transient(spec.retries + 1))
         .with_backoff(inner.cfg.backoff)
-        .with_cancel(token.clone());
+        .with_cancel(token.clone())
+        .without_store();
     if let Some(dir) = &inner.cfg.checkpoint_dir {
         runner = runner.with_checkpoint(dir.clone(), true);
-    }
-    if let Some(dir) = &inner.cfg.store_dir {
-        runner = runner.with_store_dir(dir.clone());
-    } else {
-        runner = runner.without_store();
     }
     let job = SimJob::new(arch.as_ref(), &workload, inner.cfg.sim);
     Some(runner.run_outcome(&job))

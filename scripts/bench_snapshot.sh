@@ -4,12 +4,8 @@
 # speedup-vs-dense for the standard arch matrix on one benchmark, so
 # successive snapshots (committed over time) track simulator drift.
 #
-# The profile runs twice against one tile-store directory — cold, then
-# warm — and the snapshot gains three top-level wall-clock fields:
-# `cold_wall_ms`, `warm_wall_ms` and `warm_speedup` (cold/warm), so the
-# committed history also tracks what the persistent store buys. The two
-# runs' simulation results must be byte-identical; the script fails if
-# the warm snapshot drifts from the cold one.
+# The snapshot gains a top-level `cold_wall_ms` field: the profile
+# run's shell-timed wall clock, process start included.
 #
 # The snapshot also records the paired kernel micro-benchmarks from
 # `crates/bench/benches/kernels.rs` under a top-level `kernels` object:
@@ -55,20 +51,11 @@ out="results/BENCH_${n}.json"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-run=(target/release/eureka profile --benchmark "$BENCHMARK" --arch "$ARCH"
-     --fast --store-dir "$tmp/store" "${EXTRA[@]+"${EXTRA[@]}"}")
-
 cold_start=$(date +%s%N)
-"${run[@]}" --bench-json "$out" --events-out "$tmp/events.jsonl" --no-progress
+target/release/eureka profile --benchmark "$BENCHMARK" --arch "$ARCH" \
+    --fast "${EXTRA[@]+"${EXTRA[@]}"}" \
+    --bench-json "$out" --events-out "$tmp/events.jsonl" --no-progress
 cold_ns=$(($(date +%s%N) - cold_start))
-
-warm_start=$(date +%s%N)
-"${run[@]}" --bench-json "$tmp/warm.json"
-warm_ns=$(($(date +%s%N) - warm_start))
-
-# The store must never change results: cold and warm snapshots are
-# byte-identical or the snapshot is not trustworthy.
-cmp "$out" "$tmp/warm.json"
 
 # A malformed event stream means the run itself is suspect.
 python3 scripts/check_events.py "$tmp/events.jsonl"
@@ -80,13 +67,13 @@ cargo bench -q -p eureka-bench --bench kernels -- \
 git_rev=$(git describe --always --dirty 2>/dev/null || echo unknown)
 event_count=$(wc -l < "$tmp/events.jsonl")
 
-python3 - "$out" "$cold_ns" "$warm_ns" "$git_rev" "$event_count" \
+python3 - "$out" "$cold_ns" "$git_rev" "$event_count" \
     "$BENCHMARK" "$ARCH" "$tmp/kernels.txt" <<'EOF'
 import json, re, sys
-path, cold_ns, warm_ns = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-git_rev, event_count = sys.argv[4], int(sys.argv[5])
-benchmark, arch = sys.argv[6], sys.argv[7]
-kernels_txt = sys.argv[8]
+path, cold_ns = sys.argv[1], int(sys.argv[2])
+git_rev, event_count = sys.argv[3], int(sys.argv[4])
+benchmark, arch = sys.argv[5], sys.argv[6]
+kernels_txt = sys.argv[7]
 
 UNIT_US = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
 means = {}
@@ -122,8 +109,6 @@ kernels = {
 with open(path) as f:
     snap = json.load(f)
 snap["cold_wall_ms"] = round(cold_ns / 1e6, 3)
-snap["warm_wall_ms"] = round(warm_ns / 1e6, 3)
-snap["warm_speedup"] = round(cold_ns / warm_ns, 3) if warm_ns else None
 snap["kernels"] = kernels
 snap["git"] = git_rev
 snap["events"] = event_count
@@ -138,5 +123,5 @@ with open(path, "w") as f:
     json.dump(snap, f, separators=(",", ":"))
     f.write("\n")
 EOF
-echo "wrote $out (warm_speedup $(python3 -c "
-import json; print(json.load(open('$out'))['warm_speedup'])"))"
+echo "wrote $out (cold_wall_ms $(python3 -c "
+import json; print(json.load(open('$out'))['cold_wall_ms'])"))"

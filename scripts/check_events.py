@@ -34,7 +34,6 @@ KINDS = {
     "retry": ["unit", "attempt", "kind"],
     "failure": ["unit", "kind", "attempts", "payload"],
     "checkpoint-written": ["unit"],
-    "store-flush": [],
     "run-finished": ["units", "failures"],
     # Job-service lifecycle (eureka serve).
     "job-accepted": ["job", "key"],

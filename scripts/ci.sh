@@ -16,7 +16,6 @@ cargo run --release -q -p eureka-cli -- verify --cases 200 --seed 42 | tail -n 1
 cargo run --release -q -p eureka-cli -- verify --fault-matrix --seed 42 | tail -n 1
 cargo run --release -q -p eureka-cli -- verify --chaos --cases 50 --seed 42 | tail -n 1
 scripts/resume_smoke.sh
-scripts/store_smoke.sh
 scripts/serve_smoke.sh
 # bench diff exit-code contract: missing snapshot = 2 (broken wiring),
 # regression = 1 (the gate fired) — CI must be able to tell them apart.
@@ -24,25 +23,8 @@ set +e
 cargo run --release -q -p eureka-cli -- bench diff /nonexistent.json /nonexistent.json 2>/dev/null
 [ $? -eq 2 ] || { echo "bench diff on a missing snapshot must exit 2" >&2; exit 1; }
 set -e
-# Store persistence: a second run against a warmed --store-dir performs
-# zero tile simulations and emits byte-identical reports.
-store_dir=$(mktemp -d)
 obs_dir=$(mktemp -d)
-trap 'rm -rf "$store_dir" "$obs_dir"' EXIT
-cargo run --release -q -p eureka-cli -- simulate --benchmark mobilenetv1 \
-    --arch eureka-p4 --csv --store-dir "$store_dir/tiles" \
-    > /tmp/eureka-store-cold.csv
-cargo run --release -q -p eureka-cli -- simulate --benchmark mobilenetv1 \
-    --arch eureka-p4 --csv --store-dir "$store_dir/tiles" \
-    --metrics-out /tmp/eureka-store-warm.json > /tmp/eureka-store-warm.csv
-cmp /tmp/eureka-store-cold.csv /tmp/eureka-store-warm.csv
-python3 - <<'EOF'
-import json
-c = json.load(open("/tmp/eureka-store-warm.json"))["counters"]
-assert c["store.misses"] == 0, f"warm run re-simulated tiles: {c}"
-assert c["store.hits"] == c["store.lookups"] > 0, c
-assert c["cache.misses"] == 0, f"units escaped the store: {c}"
-EOF
+trap 'rm -rf "$obs_dir"' EXIT
 # Profile smoke: the cycle-attribution export must be byte-identical
 # across runs (determinism is part of the profiler's contract).
 cargo run --release -q -p eureka-cli -- profile --benchmark mobilenetv1 \

@@ -11,7 +11,7 @@
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::arch;
-use eureka_sim::{runner, store, Runner, SimConfig, SimJob};
+use eureka_sim::{runner, store, ProfileConfig, Runner, SimConfig, SimJob};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The unit cache and its counters are process-global; serialize the
@@ -47,6 +47,31 @@ fn parallel_equals_serial_for_every_registry_arch() {
         assert_eq!(serial, parallel, "{name}: parallel must be bit-identical");
         assert!(serial.is_ok(), "{name} must support ResNet50");
     }
+}
+
+#[test]
+fn tile_memo_never_changes_a_result() {
+    // Takes the gate: resolving through the process-wide tier ticks the
+    // `store.*` counters other tests here assert exactly.
+    let _x = exclusive();
+    // Both runners skip the unit cache, or the second run would replay
+    // the first instead of re-simulating without the memo.
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let cfg = SimConfig::fast();
+    for name in arch::registry_names() {
+        let a = arch::by_name(name).expect("registry name resolves");
+        let job = SimJob::new(a.as_ref(), &w, cfg);
+        let memo = Runner::serial().without_cache().run(&job);
+        let direct = Runner::serial().without_cache().without_store().run(&job);
+        assert_eq!(memo, direct, "{name}: the tile memo changed a report");
+    }
+    let w = Workload::new(Benchmark::BertSquad, PruningLevel::Moderate, 32);
+    let a = arch::by_name("eureka-p4").expect("registered");
+    let job = SimJob::new(a.as_ref(), &w, cfg);
+    let pcfg = ProfileConfig::default();
+    let memo = Runner::serial().run_profiled(&job, &pcfg);
+    let direct = Runner::serial().without_store().run_profiled(&job, &pcfg);
+    assert_eq!(memo, direct, "the tile memo changed a profile");
 }
 
 #[test]
