@@ -51,15 +51,21 @@ fn bench_suds(c: &mut Criterion) {
 }
 
 fn bench_suds_lut(c: &mut Criterion) {
-    // The memoized small-tile lookup vs the polynomial algorithm.
+    // The packed per-planner table read vs the polynomial algorithm.
     let lens = sample_lens(4096, 4, 16, 0.13, 99);
+    let fours: Vec<[usize; 4]> = lens
+        .iter()
+        .map(|l| l.as_slice().try_into().expect("sampled with p = 4"))
+        .collect();
     let mut group = c.benchmark_group("suds_lut");
-    // Warm the table outside the measurement.
-    let _ = eureka_core::suds::lut::optimal_k(&[1, 2, 3, 4]);
+    // Fill the entries these tiles read outside the measurement.
+    for &l in &fours {
+        let _ = suds::lut::lookup(suds::lut::Planner::Optimal, l);
+    }
     group.bench_function("lut_4096_tiles", |b| {
         b.iter(|| {
-            for l in &lens {
-                black_box(eureka_core::suds::lut::optimal_k(l));
+            for &l in &fours {
+                black_box(suds::lut::lookup(suds::lut::Planner::Optimal, black_box(l)));
             }
         });
     });

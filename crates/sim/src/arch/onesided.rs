@@ -28,7 +28,7 @@ use eureka_core::schedule::{
     schedule_grouped, schedule_grouped_steps, schedule_natural, schedule_natural_steps,
     SystolicConfig,
 };
-use eureka_core::suds;
+use eureka_core::suds::lut::{self, Planner};
 use eureka_models::workload::LayerGemm;
 use eureka_sparse::TilePattern;
 use std::collections::BTreeMap;
@@ -117,62 +117,69 @@ impl TileTimer {
         true
     }
 
+    /// Whether timing a `p × q` tile is worth memoizing in the tile
+    /// store: only SUDS planning outside the packed tables' domain is.
+    /// Max-row is a popcount max at any width, and `p = 4`, `q ≤ 16`
+    /// tiles read their plan from [`lut`] in O(1).
+    pub(crate) fn needs_memo(self, p: usize, q: usize) -> bool {
+        matches!(
+            self,
+            TileTimer::GreedySuds | TileTimer::OptimalSuds | TileTimer::MultiStepSuds(_)
+        ) && !tabled(p, q)
+    }
+
     /// Times `tile` under this timer, packaged as the [`TileOutcome`]
-    /// record the store persists. Pure: no RNG, no shared state.
+    /// record the store holds. Pure: no RNG; `p = 4`, `q ≤ 16` SUDS
+    /// tiles read (or fill) the planner's table in [`lut`].
     #[must_use]
     pub fn outcome(self, tile: &TilePattern) -> TileOutcome {
         let nnz = tile.nnz() as u64;
-        match self {
-            TileTimer::Dense => TileOutcome {
-                cycles: tile.q() as u64,
-                displaced: 0,
-                base_row: None,
-                nnz,
-            },
-            TileTimer::TwoFour => TileOutcome {
-                cycles: (tile.q() as u64) / 2,
-                displaced: 0,
-                base_row: None,
-                nnz,
-            },
-            TileTimer::MaxRow => TileOutcome {
-                cycles: tile.critical_path().max(1) as u64,
-                displaced: 0,
-                base_row: None,
-                nnz,
-            },
-            TileTimer::GreedySuds => {
-                let plan = suds::greedy(&tile.row_lens());
-                TileOutcome {
-                    cycles: plan.k.max(1) as u64,
-                    displaced: plan.displaced_count() as u64,
-                    base_row: Some(plan.base_row),
-                    nnz,
-                }
-            }
-            TileTimer::OptimalSuds => {
-                let plan = suds::optimize(&tile.row_lens());
-                TileOutcome {
-                    cycles: plan.k.max(1) as u64,
-                    displaced: plan.displaced_count() as u64,
-                    base_row: Some(plan.base_row),
-                    nnz,
-                }
-            }
-            TileTimer::MultiStepSuds(reach) => {
-                let lens = tile.row_lens();
-                let reach = reach.min(lens.len().saturating_sub(1));
-                let k = suds::multistep::optimal_k(&lens, reach);
-                // Displaced work: at least each row's overflow must move.
-                let moved: usize = lens.iter().map(|&l| l.saturating_sub(k)).sum();
-                TileOutcome {
-                    cycles: k.max(1) as u64,
-                    displaced: moved as u64,
-                    base_row: None,
-                    nnz,
-                }
-            }
+        let flat = |cycles| TileOutcome {
+            cycles,
+            displaced: 0,
+            base_row: None,
+            nnz,
+        };
+        let planner = match self {
+            TileTimer::Dense => return flat(tile.q() as u64),
+            TileTimer::TwoFour => return flat(tile.q() as u64 / 2),
+            TileTimer::MaxRow => return flat(tile.critical_path().max(1) as u64),
+            TileTimer::GreedySuds => Planner::Greedy,
+            TileTimer::OptimalSuds => Planner::Optimal,
+            TileTimer::MultiStepSuds(reach) => Planner::Reach(reach),
+        };
+        let plan = if tabled(tile.p(), tile.q()) {
+            lut::lookup(planner, [0, 1, 2, 3].map(|r| tile.row_len(r)))
+        } else {
+            with_row_lens(tile, |lens| planner.plan(lens))
+        };
+        TileOutcome {
+            cycles: plan.k.max(1) as u64,
+            displaced: plan.displaced as u64,
+            base_row: plan.base_row,
+            nnz,
         }
+    }
+}
+
+/// Whether a `p × q` tile lies in the packed tables' domain: 4 rows, and
+/// no row can hold more than [`lut::MAX_LEN`] non-zeros.
+fn tabled(p: usize, q: usize) -> bool {
+    p == 4 && q <= lut::MAX_LEN
+}
+
+/// Calls `f` with `tile`'s row lengths, from a stack buffer for tiles up
+/// to 64 rows tall.
+fn with_row_lens<R>(tile: &TilePattern, f: impl FnOnce(&[usize]) -> R) -> R {
+    let mut buf = [0usize; 64];
+    match buf.get_mut(..tile.p()) {
+        Some(lens) => {
+            for (r, len) in lens.iter_mut().enumerate() {
+                *len = tile.row_len(r);
+            }
+            f(lens)
+        }
+        None => f(&tile.row_lens()),
     }
 }
 
@@ -332,6 +339,7 @@ impl OneSided {
             let mut rng = ctx.rng.fork(0x0001_51DE);
             let n_rg = (cfg.rowgroup_samples as u64).min(rowgroups).max(1);
             let n_sl = (cfg.slice_samples as u64).min(slices).max(1);
+            let memo = self.timer.needs_memo(p, q);
             // Check one scratch set out for the whole layer: the tile,
             // its key strings and the time stream all recycle buffers
             // across samples (and across layers, via the pool).
@@ -366,15 +374,20 @@ impl OneSided {
                         cfg.row_density_sigma,
                         &mut rng,
                     );
-                    // Resolve through the content-addressed store: the
-                    // tile is always *sampled* (identical RNG draws hot
-                    // or cold), only its timing memoizes. `outcome` is a
-                    // pure function of the canonical key, so a store hit
-                    // is bit-identical to the skipped computation.
-                    let keyed = self.timer.key_into(tile, lens, token, tag, key);
-                    let o = ctx
-                        .tiles
-                        .resolve_str(keyed.then_some(key.as_str()), || self.timer.outcome(tile));
+                    // SUDS tiles outside the packed tables resolve through
+                    // the content-addressed store; every other tile is
+                    // timed in O(1) with no key. The tile is always
+                    // *sampled* (identical RNG draws hot or cold), only its
+                    // timing memoizes. `outcome` is a pure function of the
+                    // canonical key, so a store hit is bit-identical to the
+                    // skipped computation.
+                    let o = if memo {
+                        let keyed = self.timer.key_into(tile, lens, token, tag, key);
+                        ctx.tiles
+                            .resolve_str(keyed.then_some(key.as_str()), || self.timer.outcome(tile))
+                    } else {
+                        self.timer.outcome(tile)
+                    };
                     let (t, disp, base_row) = (o.cycles, o.displaced, o.base_row);
                     times.push(t);
                     sum_t += t as f64;

@@ -52,15 +52,19 @@
 //! key, rendered canonically as text, names on-disk checkpoint entries
 //! ([`crate::checkpoint`]) so interrupted sweeps resume bit-identically.
 //!
-//! Below the unit cache sits a second, finer memoization layer: the
-//! content-addressed tile store ([`crate::store`]). Planning plants a
-//! [`TileBroker`] in every unit's [`LayerCtx`]; tile-timer architectures
-//! resolve each sampled tile through it, so tiles with equal canonical
-//! row-length signatures are simulated once per process. A unit whose
-//! tiles all came from the store still executes (its RNG streams advance
+//! Below the unit cache, tile timing is memoized at a finer grain. SUDS
+//! tiles with `p = 4` rows and width `q ≤ 16` read their plan from the
+//! packed per-planner tables of [`eureka_core::suds::lut`], and max-row
+//! tiles are a popcount max; neither touches the store. Only wider SUDS
+//! tiles resolve through the content-addressed tile store
+//! ([`crate::store`]): planning plants a [`TileBroker`] in every unit's
+//! [`LayerCtx`], so such tiles with equal canonical row-length
+//! signatures are simulated once per process. A unit whose tiles all
+//! came from the store still executes (its RNG streams advance
 //! identically, keeping reports bit-identical to a cold run) but performs
 //! zero tile simulations; such units count toward
-//! `runner.units_from_store` instead of `cache.misses`.
+//! `runner.units_from_store` instead of `cache.misses`. A unit that made
+//! no store lookup counts toward `cache.misses`.
 //!
 //! # Telemetry
 //!

@@ -6,6 +6,13 @@
 //! architectures that share a timer. This module caches one
 //! [`TileOutcome`] per canonical [`TileKey`] in an in-process **hot
 //! tier**: a striped hash map shared by every runner in the process.
+//!
+//! Only SUDS tiles outside the packed tables of
+//! [`eureka_core::suds::lut`] reach the store: those wider than 16
+//! columns or not 4 rows tall. The one-sided sampling loop times
+//! `p = 4`, `q ≤ 16` tiles from the tables and max-row tiles by a
+//! popcount max, with no key and no lookup (see
+//! [`TileTimer::outcome`](crate::arch::TileTimer::outcome)).
 //! Concurrent requests for the same missing key deduplicate — exactly one
 //! computes, the rest block on the entry — so hit/miss counts depend only
 //! on the multiset of keys, not on scheduling.

@@ -9,6 +9,13 @@ cargo test --workspace
 # perfbench/ is a separate package that compiles against the CLI, runner
 # and store APIs; building it catches API breaks before the benchmark runs.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# One repetition per figure workload: perfbench exits non-zero unless the
+# rendered figures match their pinned digests and unit counts, so this
+# gates byte-identical figure output.
+for w in fig11-paper ablations-paper; do
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seconds 1 --trace 0
+done
 cargo doc --workspace --no-deps
 cargo bench --workspace -- --test   # criterion harness smoke (no timing)
 cargo run --release -q -p eureka-cli -- verify --replay tests/corpus

@@ -10,7 +10,7 @@
 //! tile computes can happen — so warm assertions are exact.
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
-use eureka_sim::arch;
+use eureka_sim::arch::{self, Architecture, OneSided, ScheduleMode, TileTimer};
 use eureka_sim::{runner, store, ProfileConfig, Runner, SimConfig, SimJob};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -19,6 +19,18 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 fn exclusive() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Eureka at compaction factor 8, as in the ablations' compaction sweep:
+/// its 4×32 tiles lie outside the packed SUDS tables, so it is the kind of
+/// architecture that still resolves tiles through the store.
+fn eureka_p8() -> OneSided {
+    OneSided::new(
+        "Eureka P=8",
+        8,
+        TileTimer::OptimalSuds,
+        ScheduleMode::Grouped,
+    )
 }
 
 /// Small sampling counts so the full registry sweep stays fast; distinct
@@ -98,8 +110,8 @@ fn cache_hit_equals_cold_miss() {
         rowgroup_samples: 11,
         ..test_cfg()
     };
-    let a = arch::by_name("eureka-p4").expect("registered");
-    let job = SimJob::new(a.as_ref(), &w, cfg);
+    let a = eureka_p8();
+    let job = SimJob::new(&a, &w, cfg);
     let layers = w.layer_count() as u64;
 
     // cache_reset zeroes the counters too, so the assertions below are
@@ -158,8 +170,8 @@ fn cache_reset_clears_store_tiers_for_honest_cold_starts() {
         ..test_cfg()
     };
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Conservative, 32);
-    let a = arch::by_name("eureka-p4").expect("registered");
-    let job = SimJob::new(a.as_ref(), &w, cfg);
+    let a = eureka_p8();
+    let job = SimJob::new(&a, &w, cfg);
     let layers = w.layer_count() as u64;
 
     runner::cache_reset();
@@ -187,6 +199,65 @@ fn cache_reset_clears_store_tiers_for_honest_cold_starts() {
         store_misses_2, store_misses,
         "an honest cold start recomputes exactly the same tiles"
     );
+}
+
+#[test]
+fn tabled_tiles_bypass_the_store() {
+    let _x = exclusive();
+    let cfg = SimConfig {
+        // Distinctive sampling so this test owns its cache entries.
+        rowgroup_samples: 16,
+        ..test_cfg()
+    };
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Conservative, 32);
+    let a = arch::by_name("eureka-p4").expect("registered");
+    let layers = w.layer_count() as u64;
+
+    // Eureka P=4 times 4×16 tiles from the packed tables: no store
+    // lookup at all, so every executed unit counts as a cache miss.
+    runner::cache_reset();
+    Runner::parallel()
+        .run(&SimJob::new(a.as_ref(), &w, cfg))
+        .expect("supported");
+    assert_eq!(store::store_stats(), (0, 0, 0, 0), "no store traffic");
+    assert!(store::global().is_empty(), "nothing inserted");
+    assert_eq!(runner::cache_stats().1, layers, "every unit is a miss");
+    assert_eq!(runner::units_from_store_stats(), 0);
+}
+
+/// Exact fast-sampling cycles of the architectures whose tiles changed
+/// route when p = 4, q ≤ 16 SUDS timing moved to the packed tables:
+/// the wide-tile columns, which still resolve through the store, and
+/// reach-3, which reads a table of its own. Pinned from the store-only
+/// implementation; any drift is a timing-model change.
+#[test]
+fn rerouted_tile_paths_keep_their_pinned_cycles() {
+    let _x = exclusive();
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let cfg = SimConfig::fast();
+    let pins = [
+        (eureka_p8(), 245_975),
+        (
+            OneSided::new(
+                "Eureka P=16",
+                16,
+                TileTimer::OptimalSuds,
+                ScheduleMode::Grouped,
+            ),
+            240_282,
+        ),
+        (arch::eureka_multistep(3), 237_712),
+    ];
+    for (a, cycles) in pins {
+        let job = SimJob::new(&a, &w, cfg);
+        for runner in [
+            Runner::serial().without_cache(),
+            Runner::serial().without_cache().without_store(),
+        ] {
+            let report = runner.run(&job).expect("supported");
+            assert_eq!(report.total_cycles(), cycles, "{}", a.name());
+        }
+    }
 }
 
 #[test]

@@ -14,8 +14,17 @@
 //!
 //! The signature-level half of this argument (what `canonical_lens`
 //! collapses and preserves) lives in `crates/sparse/tests/properties.rs`.
+//!
+//! Tiles of `p = 4` rows and width `q ≤ 16` never reach the store: the
+//! timer reads their plan from the packed per-planner tables in
+//! `eureka_core::suds::lut`. The last tests here check every entry of
+//! every table against the planners themselves, and the timer's outcome
+//! on random tiles of the tabled widths.
 
+use eureka::offline::suds::{self, lut, multistep};
 use eureka::sim::arch::{self, OneSided, TileTimer};
+use eureka::sim::TileOutcome;
+use eureka::sparse::rng::DetRng;
 use eureka::sparse::TilePattern;
 use proptest::prelude::*;
 
@@ -202,6 +211,134 @@ fn registry_timers_uphold_the_congruence_on_edge_tiles() {
                     "{timer:?} on {lens:?}"
                 );
             }
+        }
+    }
+}
+
+/// What a planner computes for `lens`, straight from `eureka_core::suds`:
+/// the reference both the packed tables and `TileTimer::outcome` must
+/// reproduce.
+fn reference_plan(planner: lut::Planner, lens: &[usize]) -> lut::Plan {
+    let single_step = |plan: suds::DisplacementPlan| lut::Plan {
+        k: plan.k,
+        displaced: plan.displaced_count(),
+        base_row: Some(plan.base_row),
+    };
+    match planner {
+        lut::Planner::Optimal => single_step(suds::optimize(lens)),
+        lut::Planner::Greedy => single_step(suds::greedy(lens)),
+        lut::Planner::Reach(reach) => {
+            let k = multistep::optimal_k(lens, reach.min(lens.len() - 1));
+            lut::Plan {
+                k,
+                displaced: lens.iter().map(|&l| l.saturating_sub(k)).sum(),
+                base_row: None,
+            }
+        }
+    }
+}
+
+/// Every tabled planner: optimal, greedy and reach 0..=3 (larger reaches
+/// clamp to 3 at `p = 4`).
+const TABLED: [lut::Planner; 6] = [
+    lut::Planner::Optimal,
+    lut::Planner::Greedy,
+    lut::Planner::Reach(0),
+    lut::Planner::Reach(1),
+    lut::Planner::Reach(2),
+    lut::Planner::Reach(3),
+];
+
+/// All 17⁴ row-length tuples of every table: the first lookup fills the
+/// entry, the second reads it back from its packed form, and both must
+/// equal the planner's own `k`, displaced count and base row.
+#[test]
+fn packed_tables_match_the_planners_exhaustively() {
+    let range = 0..=lut::MAX_LEN;
+    for a in range.clone() {
+        for b in range.clone() {
+            for c in range.clone() {
+                for d in range.clone() {
+                    let lens = [a, b, c, d];
+                    for planner in TABLED {
+                        let want = reference_plan(planner, &lens);
+                        let filled = lut::lookup(planner, lens);
+                        let read = lut::lookup(planner, lens);
+                        assert_eq!(filled, want, "{planner:?} fill on {lens:?}");
+                        assert_eq!(read, want, "{planner:?} packed read on {lens:?}");
+                    }
+                    assert_eq!(lut::optimal_k(&lens), suds::optimize(&lens).k);
+                }
+            }
+        }
+    }
+}
+
+/// The timer's outcome on a tile, computed from the planners directly.
+fn reference_outcome(timer: TileTimer, tile: &TilePattern) -> TileOutcome {
+    let lens = tile.row_lens();
+    let nnz = lens.iter().sum::<usize>() as u64;
+    let planner = match timer {
+        TileTimer::MaxRow => {
+            return TileOutcome {
+                cycles: lens.iter().copied().max().unwrap_or(0).max(1) as u64,
+                displaced: 0,
+                base_row: None,
+                nnz,
+            }
+        }
+        TileTimer::GreedySuds => lut::Planner::Greedy,
+        TileTimer::OptimalSuds => lut::Planner::Optimal,
+        TileTimer::MultiStepSuds(reach) => lut::Planner::Reach(reach),
+        TileTimer::Dense | TileTimer::TwoFour => unreachable!("uniform timers plan nothing"),
+    };
+    let plan = reference_plan(planner, &lens);
+    TileOutcome {
+        cycles: plan.k.max(1) as u64,
+        displaced: plan.displaced as u64,
+        base_row: plan.base_row,
+        nnz,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `TileTimer::outcome` on random 4-row tiles of every tabled width —
+    /// the table path — and on 32- and 64-wide tiles, which plan
+    /// directly, equals the planners' own result.
+    #[test]
+    fn tabled_outcomes_match_the_planners(
+        seed in any::<u64>(),
+        q_exp in 2u32..=6,
+        density_pct in 0usize..=100,
+    ) {
+        let q = 1usize << q_exp;
+        let mut rng = DetRng::new(seed);
+        let masks: Vec<u64> = (0..4)
+            .map(|_| {
+                (0..q).fold(0u64, |m, c| {
+                    m | u64::from(rng.next_below(100) < density_pct) << c
+                })
+            })
+            .collect();
+        let tile = TilePattern::from_rows(&masks, q).unwrap();
+        for timer in [
+            TileTimer::MaxRow,
+            TileTimer::GreedySuds,
+            TileTimer::OptimalSuds,
+            TileTimer::MultiStepSuds(1),
+            TileTimer::MultiStepSuds(2),
+            TileTimer::MultiStepSuds(3),
+            TileTimer::MultiStepSuds(7),
+        ] {
+            prop_assert_eq!(
+                timer.outcome(&tile),
+                reference_outcome(timer, &tile),
+                "{:?} at q = {}",
+                timer,
+                q
+            );
         }
     }
 }
