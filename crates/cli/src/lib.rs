@@ -289,8 +289,8 @@ OBSERVABILITY:
                         to keep stdout machine-readable). Each line splits
                         deterministic fields (`det`: byte-identical across
                         reruns and --jobs settings) from wall-clock fields
-                        (`wall`: seq, t_us, jobs). Compare streams with the
-                        deterministic projection (scripts/check_events.py)
+                        (`wall`: seq, t_us, jobs). Compare streams by their
+                        deterministic projection (sorted event + det)
   --progress            force the throttled stderr progress line on
   --no-progress         force it off (default: on only when stderr is a
                         terminal; the line never touches stdout, reports,
@@ -347,8 +347,8 @@ JOB SERVICE (`eureka serve`):
                        scrapers never read a torn file); the `metrics`
                        wire verb returns the same text over the socket
   --flightrec-dir <dir> where the always-armed flight recorder (a
-                       fixed-capacity in-memory ring of job lifecycle
-                       records, schema eureka-flightrec-v1) dumps its
+                       fixed-capacity in-memory ring of the service's
+                       last 512 events, schema eureka-events-v1) dumps its
                        contents: after every connection, on SIGTERM
                        drain, on panic, and on the `dump` wire verb —
                        a SIGKILL'd daemon leaves a replayable

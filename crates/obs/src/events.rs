@@ -18,8 +18,8 @@
 //! the [`deterministic_projection`]: per line, keep only
 //! `{"event":...,"det":{...}}`, sort the lines lexicographically, and
 //! join with `\n`. Two runs of the same plan agree byte-for-byte on
-//! this projection regardless of parallelism (`scripts/check_events.py`
-//! implements the same projection for CI).
+//! this projection regardless of parallelism (CI compares the streams
+//! of `eureka simulate --jobs 1` and `--jobs 4` this way).
 //!
 //! The bus is **off by default**: every emit site is guarded by a
 //! single relaxed atomic load ([`enabled`]), so instrumented code pays
@@ -36,8 +36,8 @@ use crate::json;
 pub const SCHEMA: &str = "eureka-events-v1";
 
 /// Event kinds and their required deterministic fields, in schema
-/// order. The checker ([`validate_line`]) and the CI-side
-/// `scripts/check_events.py` both enforce this table.
+/// order. The checker ([`validate_line`]) enforces this table; it is
+/// the only copy.
 pub const KINDS: &[(&str, &[&str])] = &[
     ("run-started", &[]),
     ("unit-planned", &["unit", "job", "arch", "gemm", "key"]),
@@ -150,7 +150,10 @@ impl Event {
         self.det.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
-    fn to_line(&self, seq: u64, t_us: u64) -> String {
+    /// The event as one JSONL line (no newline) with the given
+    /// `wall.seq` / `wall.t_us` — the bus's writer, shared with the
+    /// flight recorder's dumps.
+    pub(crate) fn to_line(&self, seq: u64, t_us: u64) -> String {
         let mut out = String::with_capacity(128);
         out.push_str("{\"schema\":\"");
         out.push_str(SCHEMA);

@@ -1,161 +1,109 @@
-//! Crash-safe flight recorder (`eureka-flightrec-v1`).
+//! Flight recorder: the last [`CAPACITY`] `eureka-events-v1` events of
+//! one job service.
 //!
-//! A fixed-capacity, allocation-free ring buffer holding the most
-//! recent job-lifecycle records, **armed always**: unlike the event
-//! bus ([`crate::events`]), which is off unless a writer is attached,
-//! the recorder captures every record so a post-mortem of a crashed or
-//! overloaded daemon is possible without having opted into anything.
-//! Recording is one short mutex-guarded write into a pre-allocated
-//! slot — no allocation, no I/O, no formatting on the hot path.
+//! A [`Recorder`] is **armed always**: unlike the event bus
+//! ([`crate::events`]), which is off unless a writer is attached, the
+//! job service records every lifecycle event it publishes here too, so
+//! a post-mortem of a crashed or overloaded daemon is possible without
+//! having opted into anything. Recording moves the already-built
+//! [`Event`] into a ring slot under a short mutex; nothing is formatted
+//! until a dump.
 //!
-//! Each record carries a process-monotonic `seq` (total records ever,
-//! not a ring index — gaps in a dump mean overwritten history, never
-//! lost writes), a `t_us` offset from recorder start, a `&'static`
-//! kind label shared with the event schema (`job-admitted`,
-//! `job-dequeued`, `job-finished`, ...), the job id, and one
-//! kind-specific `value` (content-key hash for admissions, queue-wait
-//! µs for dequeues, outcome class for finishes).
+//! Dumps render the ring oldest-to-newest with the bus's own line
+//! writer, so every dumped line passes [`crate::events::validate_line`].
+//! `wall.seq` counts the recorder's own events (dense across the
+//! retained window; a gap between two dumps means overwritten history)
+//! and `wall.t_us` is measured from the recorder's creation. [`dump_to`]
+//! writes atomically, so a reader never observes a torn dump. The serve
+//! loop dumps after every connection and on SIGTERM/panic; a SIGKILL
+//! leaves the last complete dump on disk.
 //!
-//! [`dump_to`] renders the ring oldest-to-newest as JSONL and writes it
-//! atomically, so a reader never observes a torn dump. The serve loop
-//! dumps after every connection and on SIGTERM/panic; a SIGKILL leaves
-//! the last complete dump on disk.
+//! [`dump_to`]: Recorder::dump_to
 
+use crate::events::Event;
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Schema identifier stamped on every dumped line.
-pub const SCHEMA: &str = "eureka-flightrec-v1";
-
-/// Ring capacity: how many recent records a dump can hold.
+/// Ring capacity: how many recent events a dump can hold.
 pub const CAPACITY: usize = 512;
 
-/// One recorded lifecycle transition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlightRecord {
-    /// Process-monotonic sequence number (assigned at record time).
-    pub seq: u64,
-    /// Microseconds since the recorder started (first use or [`reset`]).
-    pub t_us: u64,
-    /// Lifecycle kind label (shared with the `eureka-events-v1` kinds).
-    pub kind: &'static str,
-    /// Job id (`0` when the record is not tied to an admitted job).
-    pub job: u64,
-    /// Kind-specific detail: content-key hash for admissions,
-    /// queue-wait µs for dequeues, outcome class for finishes,
-    /// queue capacity for sheds.
-    pub value: u64,
-}
-
 struct Ring {
-    /// Pre-allocated slots; written in place once full (no allocation
-    /// after the ring fills).
-    slots: Vec<FlightRecord>,
-    /// Next slot index to (over)write.
-    next: usize,
-    /// Total records ever recorded (`seq` source; `len = min(total, CAPACITY)`).
+    /// `(t_us, event)`, oldest first; never longer than [`CAPACITY`].
+    slots: VecDeque<(u64, Event)>,
+    /// Events ever recorded (the next event's `wall.seq`).
     total: u64,
+}
+
+/// A fixed-capacity ring of recent events. See the [module docs](self).
+pub struct Recorder {
     start: Instant,
+    ring: Mutex<Ring>,
 }
 
-fn ring() -> MutexGuard<'static, Ring> {
-    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
-    RING.get_or_init(|| {
-        Mutex::new(Ring {
-            slots: Vec::with_capacity(CAPACITY),
-            next: 0,
-            total: 0,
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder {
             start: Instant::now(),
-        })
-    })
-    .lock()
-    .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Records one lifecycle transition. Always armed; the cost is one
-/// mutex acquisition and one slot write.
-pub fn record(kind: &'static str, job: u64, value: u64) {
-    let mut r = ring();
-    let t_us = u64::try_from(r.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let rec = FlightRecord {
-        seq: r.total,
-        t_us,
-        kind,
-        job,
-        value,
-    };
-    r.total += 1;
-    if r.slots.len() < CAPACITY {
-        r.slots.push(rec);
-        r.next = r.slots.len() % CAPACITY;
-    } else {
-        let next = r.next;
-        r.slots[next] = rec;
-        r.next = (next + 1) % CAPACITY;
+            ring: Mutex::new(Ring {
+                slots: VecDeque::with_capacity(CAPACITY),
+                total: 0,
+            }),
+        }
     }
 }
 
-/// Total records ever recorded (monotonic; survives ring wraparound).
-#[must_use]
-pub fn recorded_count() -> u64 {
-    ring().total
-}
-
-/// The most recent record's sequence number, `None` when empty.
-#[must_use]
-pub fn last_seq() -> Option<u64> {
-    let r = ring();
-    r.total.checked_sub(1)
-}
-
-/// The retained records, oldest to newest (at most [`CAPACITY`]).
-#[must_use]
-pub fn snapshot() -> Vec<FlightRecord> {
-    let r = ring();
-    let mut out = Vec::with_capacity(r.slots.len());
-    if r.slots.len() < CAPACITY {
-        out.extend_from_slice(&r.slots);
-    } else {
-        out.extend_from_slice(&r.slots[r.next..]);
-        out.extend_from_slice(&r.slots[..r.next]);
+impl Recorder {
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    out
-}
 
-/// Clears the ring and restarts the `t_us` clock (tests; serve start).
-pub fn reset() {
-    let mut r = ring();
-    r.slots.clear();
-    r.next = 0;
-    r.total = 0;
-    r.start = Instant::now();
-}
-
-fn render_line(rec: &FlightRecord, out: &mut String) {
-    out.push_str("{\"schema\":\"");
-    out.push_str(SCHEMA);
-    out.push_str("\",\"seq\":");
-    out.push_str(&rec.seq.to_string());
-    out.push_str(",\"t_us\":");
-    out.push_str(&rec.t_us.to_string());
-    out.push_str(",\"kind\":\"");
-    out.push_str(&crate::json::escape(rec.kind));
-    out.push_str("\",\"job\":");
-    out.push_str(&rec.job.to_string());
-    out.push_str(",\"value\":");
-    out.push_str(&rec.value.to_string());
-    out.push_str("}\n");
-}
-
-/// The retained records as JSONL, oldest to newest.
-#[must_use]
-pub fn dump_jsonl() -> String {
-    let mut out = String::new();
-    for rec in snapshot() {
-        render_line(&rec, &mut out);
+    /// Records one event, evicting the oldest once the ring is full.
+    pub fn record(&self, ev: Event) {
+        let t_us = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let mut r = self.ring();
+        if r.slots.len() == CAPACITY {
+            r.slots.pop_front();
+        }
+        r.slots.push_back((t_us, ev));
+        r.total += 1;
     }
-    out
+
+    /// `(retained, last_seq)`: how many events a dump would hold, and
+    /// the newest one's `wall.seq` (`None` before the first event).
+    #[must_use]
+    pub fn extent(&self) -> (usize, Option<u64>) {
+        let r = self.ring();
+        (r.slots.len(), r.total.checked_sub(1))
+    }
+
+    /// The retained events as `eureka-events-v1` JSONL, oldest first.
+    #[must_use]
+    pub fn dump_jsonl(&self) -> String {
+        let r = self.ring();
+        let first = r.total - r.slots.len() as u64;
+        let mut out = String::with_capacity(r.slots.len() * 128);
+        for (seq, (t_us, ev)) in (first..).zip(&r.slots) {
+            out.push_str(&ev.to_line(seq, *t_us));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Dumps the ring to [`dump_path`]`(dir)` (the directory is created
+    /// if missing) through [`crate::durable::write_atomic`], so a reader
+    /// never sees a torn file. Returns the path written.
+    ///
+    /// # Errors
+    ///
+    /// Propagates directory-creation, write, or rename failures.
+    pub fn dump_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let target = dump_path(dir);
+        crate::durable::write_atomic(&target, self.dump_jsonl().as_bytes())?;
+        Ok(target)
+    }
 }
 
 /// The dump path this process writes under `dir`.
@@ -164,105 +112,65 @@ pub fn dump_path(dir: &Path) -> PathBuf {
     dir.join(format!("flightrec-{}.jsonl", std::process::id()))
 }
 
-/// Dumps the ring to `flightrec-<pid>.jsonl` under `dir` (created if
-/// missing) through [`crate::durable::write_atomic`], so a reader never
-/// sees a torn file. Returns the path written.
-///
-/// # Errors
-///
-/// Propagates directory-creation, write, or rename failures.
-pub fn dump_to(dir: &Path) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let target = dump_path(dir);
-    crate::durable::write_atomic(&target, dump_jsonl().as_bytes())?;
-    Ok(target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::validate_line;
     use crate::json::{self, Value};
 
-    /// The recorder is process-global; serialize the tests that reset it.
-    fn exclusive() -> MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(PoisonError::into_inner)
+    fn seqs(dump: &str) -> Vec<u64> {
+        dump.lines()
+            .map(|l| {
+                validate_line(l).unwrap_or_else(|e| panic!("{e}: {l}"));
+                let v = json::parse(l).unwrap();
+                v.get("wall")
+                    .and_then(|w| w.get("seq"))
+                    .and_then(Value::as_f64)
+                    .unwrap() as u64
+            })
+            .collect()
     }
 
     #[test]
-    fn records_in_order_with_dense_seqs() {
-        let _gate = exclusive();
-        reset();
-        assert_eq!(last_seq(), None);
-        record("job-admitted", 1, 0xabc);
-        record("job-dequeued", 1, 42);
-        record("job-finished", 1, 0);
-        assert_eq!(recorded_count(), 3);
-        assert_eq!(last_seq(), Some(2));
-        let snap = snapshot();
-        assert_eq!(snap.len(), 3);
-        for (i, rec) in snap.iter().enumerate() {
-            assert_eq!(rec.seq, i as u64);
-        }
-        assert_eq!(snap[0].kind, "job-admitted");
-        assert_eq!(snap[0].value, 0xabc);
-        assert_eq!(snap[1].value, 42);
-        reset();
-        assert!(snapshot().is_empty());
-    }
-
-    #[test]
-    fn ring_keeps_the_most_recent_capacity_records() {
-        let _gate = exclusive();
-        reset();
+    fn ring_keeps_the_most_recent_capacity_events() {
+        let rec = Recorder::default();
         let n = CAPACITY as u64 + 37;
-        for i in 0..n {
-            record("job-admitted", i, i);
+        for job in 0..n {
+            rec.record(Event::new("job-queued").det_u64("job", job));
         }
-        assert_eq!(recorded_count(), n);
-        let snap = snapshot();
-        assert_eq!(snap.len(), CAPACITY, "ring holds exactly CAPACITY");
-        // Oldest retained seq is total - CAPACITY; newest is total - 1.
-        assert_eq!(snap[0].seq, n - CAPACITY as u64);
-        assert_eq!(snap.last().unwrap().seq, n - 1);
-        assert!(
-            snap.windows(2).all(|w| w[1].seq == w[0].seq + 1),
+        assert_eq!(rec.extent(), (CAPACITY, Some(n - 1)));
+        let got = seqs(&rec.dump_jsonl());
+        let want: Vec<u64> = (n - CAPACITY as u64..n).collect();
+        assert_eq!(
+            got, want,
             "retained seqs stay consecutive across wraparound"
         );
-        reset();
     }
 
     #[test]
-    fn dump_is_schema_valid_jsonl_and_atomic_on_disk() {
-        let _gate = exclusive();
-        reset();
-        record("job-admitted", 7, 0xfeed);
-        record("job-shed", 0, 8);
+    fn dumps_valid_lines_in_record_order_atomically() {
+        let rec = Recorder::default();
+        assert_eq!(rec.extent(), (0, None));
+        rec.record(Event::new("job-queued").det_u64("job", 7));
+        rec.record(
+            Event::new("job-dequeued")
+                .det_u64("job", 7)
+                .wall_u64("wait_us", 42),
+        );
         let dir =
             std::env::temp_dir().join(format!("eureka-flightrec-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let path = dump_to(&dir).expect("dump");
+        let path = rec.dump_to(&dir).expect("dump");
         assert_eq!(path, dump_path(&dir));
         let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for (i, line) in lines.iter().enumerate() {
-            let v = json::parse(line).unwrap_or_else(|e| panic!("line {i}: {e}"));
-            assert_eq!(v.get("schema").and_then(Value::as_str), Some(SCHEMA));
-            assert_eq!(
-                v.get("seq").and_then(Value::as_f64),
-                Some(i as f64),
-                "seqs dense from the oldest retained record"
-            );
-            assert!(v.get("kind").and_then(Value::as_str).is_some());
-        }
-        assert!(lines[0].contains("\"job\":7"));
+        assert_eq!(seqs(&text), [0, 1]);
+        assert!(text.lines().next().unwrap().contains("\"job\":7"));
+        assert!(text.contains("\"wait_us\":42"));
         // Re-dumping replaces the file in place (rename, same path).
-        record("job-finished", 7, 0);
-        let again = dump_to(&dir).expect("second dump");
-        assert_eq!(again, path);
-        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 3);
+        rec.record(Event::new("job-shed").det_u64("capacity", 8));
+        assert_eq!(rec.extent(), (3, Some(2)));
+        assert_eq!(rec.dump_to(&dir).expect("second dump"), path);
+        assert_eq!(seqs(&std::fs::read_to_string(&path).unwrap()), [0, 1, 2]);
         std::fs::remove_dir_all(&dir).ok();
-        reset();
     }
 }

@@ -26,9 +26,10 @@
 //!    split as the metrics registry, feeding both `--events-out` files
 //!    and the throttled terminal [`progress`] reporter.
 //! 5. **Flight recorder** ([`flightrec`]) — an always-armed,
-//!    fixed-capacity ring of recent job-lifecycle records
-//!    (`eureka-flightrec-v1`), dumped atomically as JSONL so a crashed
-//!    or SIGKILLed service leaves a post-mortem trail.
+//!    fixed-capacity ring of a job service's most recent
+//!    `eureka-events-v1` events, dumped atomically as JSONL (rendered by
+//!    the bus's own line writer) so a crashed or SIGKILLed service
+//!    leaves a post-mortem trail.
 //!
 //! A small verbosity-gated stderr logger ([`log`], [`error!`], [`info!`],
 //! [`debug!`]) rounds out the crate so CLI diagnostics flow through one

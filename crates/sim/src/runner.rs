@@ -418,6 +418,74 @@ fn unit_key_digest(key: &UnitKey) -> String {
     format!("{:016x}", fnv1a64(key.canonical().as_bytes()))
 }
 
+/// Emits `run-started` and one `unit-planned` per unit, where
+/// `ranges[j]` holds job `j`'s units.
+fn emit_planned(units: &[WorkUnit<'_>], ranges: &[std::ops::Range<usize>]) {
+    events::emit(Event::new("run-started").wall_u64("jobs", ranges.len() as u64));
+    for (job_idx, range) in ranges.iter().enumerate() {
+        for unit in &units[range.clone()] {
+            events::emit(
+                Event::new("unit-planned")
+                    .det_u64("unit", unit.index as u64)
+                    .det_u64("job", job_idx as u64)
+                    .det_str("arch", unit.key.arch.clone())
+                    .det_str("gemm", unit.gemm.name.clone())
+                    .det_str("key", unit_key_digest(&unit.key)),
+            );
+        }
+    }
+}
+
+/// Emits `run-finished` for a batch of `jobs` jobs started at `started`.
+fn emit_run_finished(units: usize, failures: u64, jobs: usize, started: Instant) {
+    events::emit(
+        Event::new("run-finished")
+            .det_u64("units", units as u64)
+            .det_u64("failures", failures)
+            .wall_u64("jobs", jobs as u64)
+            .wall_u64("wall_us", micros(started.elapsed())),
+    );
+}
+
+/// Emits the `failure` event of a unit lost for good.
+fn emit_failure(unit: &WorkUnit<'_>, kind: &FailureKind, attempts: u32, payload: &str) {
+    events::emit(
+        Event::new("failure")
+            .det_u64("unit", unit.index as u64)
+            .det_str("kind", kind.label())
+            .det_u64("attempts", u64::from(attempts))
+            .det_str("payload", payload),
+    );
+}
+
+/// The `unit-finished` source of a unit that just executed: `store` when
+/// every tile it looked up came from the tile store, `computed`
+/// otherwise.
+fn executed_source(unit: &WorkUnit<'_>) -> &'static str {
+    let (tile_lookups, tile_computes) = unit.ctx.tiles.tally();
+    if tile_lookups > 0 && tile_computes == 0 {
+        "store"
+    } else {
+        "computed"
+    }
+}
+
+/// Persists a unit's report under its canonical `key`, counting the
+/// write (`checkpoint.writes` + a `checkpoint-written` event) or its
+/// failure (`checkpoint.errors`).
+fn write_checkpoint(ck: &CheckpointCfg, key: &str, unit: &WorkUnit<'_>, report: &LayerReport) {
+    let t = telemetry();
+    match ck.store.store(key, report) {
+        Ok(()) => {
+            t.ckpt_writes.inc();
+            if events::enabled() {
+                events::emit(Event::new("checkpoint-written").det_u64("unit", unit.index as u64));
+            }
+        }
+        Err(_) => t.ckpt_errors.inc(),
+    }
+}
+
 /// Emits the `unit-finished` event for a successful unit. `exec_us` is
 /// `0` for cache/checkpoint replays (nothing executed). The `source`
 /// classification (`cache` / `checkpoint` / `store` / `computed`) is a
@@ -638,30 +706,14 @@ impl Runner {
     /// A runner executing units one at a time, in plan order.
     #[must_use]
     pub fn serial() -> Self {
-        Runner {
-            jobs: 1,
-            cached: true,
-            retry: RetryPolicy::NONE,
-            backoff: BackoffPolicy::NONE,
-            cancel: None,
-            checkpoint: None,
-            store_enabled: true,
-        }
+        Runner::with_jobs(1)
     }
 
     /// A runner fanning units out across all available cores (or the
     /// process-wide [`set_global_jobs`] override).
     #[must_use]
     pub fn parallel() -> Self {
-        Runner {
-            jobs: AUTO,
-            cached: true,
-            retry: RetryPolicy::NONE,
-            backoff: BackoffPolicy::NONE,
-            cancel: None,
-            checkpoint: None,
-            store_enabled: true,
-        }
+        Runner::with_jobs(AUTO)
     }
 
     /// A runner with an explicit worker count (`0` = auto-detect).
@@ -795,9 +847,6 @@ impl Runner {
         let _run_span = eureka_obs::span!("runner.run_all", "{} job(s)", jobs.len());
         t.jobs.add(jobs.len() as u64);
         let run_started = Instant::now();
-        if events::enabled() {
-            events::emit(Event::new("run-started").wall_u64("jobs", jobs.len() as u64));
-        }
         // Plan: enumerate every job's per-layer units.
         let mut units = Vec::new();
         let mut ranges = Vec::with_capacity(jobs.len());
@@ -811,18 +860,7 @@ impl Runner {
         }
         t.units_planned.add(units.len() as u64);
         if events::enabled() {
-            for (job_idx, range) in ranges.iter().enumerate() {
-                for unit in &units[range.clone()] {
-                    events::emit(
-                        Event::new("unit-planned")
-                            .det_u64("unit", unit.index as u64)
-                            .det_u64("job", job_idx as u64)
-                            .det_str("arch", unit.key.arch.clone())
-                            .det_str("gemm", unit.gemm.name.clone())
-                            .det_str("key", unit_key_digest(&unit.key)),
-                    );
-                }
-            }
+            emit_planned(&units, &ranges);
         }
         // Execute: serial order or index-claimed pool, cache-first.
         let results = self.execute(&units);
@@ -847,13 +885,7 @@ impl Runner {
                     JobOutcome::Failed { failures } => failures.len() as u64,
                 })
                 .sum();
-            events::emit(
-                Event::new("run-finished")
-                    .det_u64("units", units.len() as u64)
-                    .det_u64("failures", failures)
-                    .wall_u64("jobs", jobs.len() as u64)
-                    .wall_u64("wall_us", micros(run_started.elapsed())),
-            );
+            emit_run_finished(units.len(), failures, jobs.len(), run_started);
         }
         out
     }
@@ -960,13 +992,7 @@ impl Runner {
                     "deadline exceeded before execution"
                 };
                 if events_on {
-                    events::emit(
-                        Event::new("failure")
-                            .det_u64("unit", unit.index as u64)
-                            .det_str("kind", FailureKind::Cancelled.label())
-                            .det_u64("attempts", 0)
-                            .det_str("payload", payload),
-                    );
+                    emit_failure(unit, &FailureKind::Cancelled, 0, payload);
                 }
                 return Err(UnitError {
                     kind: FailureKind::Cancelled,
@@ -984,18 +1010,7 @@ impl Runner {
                     // the unit never re-executes in this process.
                     let key = unit.key.canonical();
                     if ck.store.load(&key).is_none() {
-                        match ck.store.store(&key, &hit) {
-                            Ok(()) => {
-                                t.ckpt_writes.inc();
-                                if events_on {
-                                    events::emit(
-                                        Event::new("checkpoint-written")
-                                            .det_u64("unit", unit.index as u64),
-                                    );
-                                }
-                            }
-                            Err(_) => t.ckpt_errors.inc(),
-                        }
+                        write_checkpoint(ck, &key, unit, &hit);
                     }
                 }
                 if events_on {
@@ -1049,14 +1064,7 @@ impl Runner {
                     if attempt > 1 {
                         t.retries_recovered.inc();
                     }
-                    let source = {
-                        let (tile_lookups, tile_computes) = unit.ctx.tiles.tally();
-                        if tile_lookups > 0 && tile_computes == 0 {
-                            "store"
-                        } else {
-                            "computed"
-                        }
-                    };
+                    let source = executed_source(unit);
                     if self.cached {
                         if source == "store" {
                             t.units_from_store.inc();
@@ -1067,18 +1075,7 @@ impl Runner {
                         t.cache_inserts.inc();
                     }
                     if let Some(ck) = &self.checkpoint {
-                        match ck.store.store(&unit.key.canonical(), &report) {
-                            Ok(()) => {
-                                t.ckpt_writes.inc();
-                                if events_on {
-                                    events::emit(
-                                        Event::new("checkpoint-written")
-                                            .det_u64("unit", unit.index as u64),
-                                    );
-                                }
-                            }
-                            Err(_) => t.ckpt_errors.inc(),
-                        }
+                        write_checkpoint(ck, &unit.key.canonical(), unit, &report);
                     }
                     if events_on {
                         emit_unit_finished(unit, source, &report, exec_us);
@@ -1114,13 +1111,7 @@ impl Runner {
                     failure.attempts
                 );
                 if events_on {
-                    events::emit(
-                        Event::new("failure")
-                            .det_u64("unit", unit.index as u64)
-                            .det_str("kind", failure.kind.label())
-                            .det_u64("attempts", u64::from(failure.attempts))
-                            .det_str("payload", failure.payload.clone()),
-                    );
+                    emit_failure(unit, &failure.kind, failure.attempts, &failure.payload);
                 }
                 return Err(failure);
             }
@@ -1184,17 +1175,7 @@ impl Runner {
         let run_started = Instant::now();
         let events_on = events::enabled();
         if events_on {
-            events::emit(Event::new("run-started").wall_u64("jobs", 1));
-            for unit in &units {
-                events::emit(
-                    Event::new("unit-planned")
-                        .det_u64("unit", unit.index as u64)
-                        .det_u64("job", 0)
-                        .det_str("arch", unit.key.arch.clone())
-                        .det_str("gemm", unit.gemm.name.clone())
-                        .det_str("key", unit_key_digest(&unit.key)),
-                );
-            }
+            emit_planned(&units, std::slice::from_ref(&(0..units.len())));
         }
         let results = self.execute_with(&units, |unit| {
             if events::enabled() {
@@ -1216,27 +1197,14 @@ impl Runner {
             if events::enabled() {
                 match &result {
                     Ok((report, _)) => {
-                        let (tile_lookups, tile_computes) = unit.ctx.tiles.tally();
-                        let source = if tile_lookups > 0 && tile_computes == 0 {
-                            "store"
-                        } else {
-                            "computed"
-                        };
-                        emit_unit_finished(unit, source, report, exec_us);
+                        emit_unit_finished(unit, executed_source(unit), report, exec_us);
                     }
                     Err(e) => {
-                        let kind = if matches!(e, SimError::UnitPanic { .. }) {
-                            "panic"
-                        } else {
-                            "sim-error"
+                        let kind = match e {
+                            SimError::UnitPanic { .. } => FailureKind::Panic,
+                            e => FailureKind::Sim(e.clone()),
                         };
-                        events::emit(
-                            Event::new("failure")
-                                .det_u64("unit", unit.index as u64)
-                                .det_str("kind", kind)
-                                .det_u64("attempts", 1)
-                                .det_str("payload", e.to_string()),
-                        );
+                        emit_failure(unit, &kind, 1, &e.to_string());
                     }
                 }
             }
@@ -1244,13 +1212,7 @@ impl Runner {
         });
         if events_on {
             let failures = results.iter().filter(|r| r.is_err()).count() as u64;
-            events::emit(
-                Event::new("run-finished")
-                    .det_u64("units", units.len() as u64)
-                    .det_u64("failures", failures)
-                    .wall_u64("jobs", 1)
-                    .wall_u64("wall_us", micros(run_started.elapsed())),
-            );
+            emit_run_finished(units.len(), failures, 1, run_started);
         }
         let mut layers = Vec::with_capacity(results.len() + 1);
         let mut profiles = Vec::with_capacity(results.len() + 1);

@@ -38,11 +38,11 @@ start_server() {
 }
 
 # Waits for the per-connection flight-recorder dump to land on disk
-# with at least one record of the given kind.
+# with at least one event of the given kind.
 wait_for_flightrec() {
     for _ in $(seq 1 100); do
         if ls "$dir/flightrec"/flightrec-*.jsonl > /dev/null 2>&1 &&
-            grep -q "\"kind\":\"$1\"" "$dir/flightrec"/flightrec-*.jsonl; then
+            grep -q "\"event\":\"$1\"" "$dir/flightrec"/flightrec-*.jsonl; then
             return 0
         fi
         sleep 0.05
@@ -94,8 +94,9 @@ server_pid=""
     echo "no journal record survived the SIGKILL" >&2
     exit 1
 }
-# The dump must be schema-valid, densely sequenced, and its admitted
-# jobs must correspond to write-ahead journal records.
+# The dump must hold eureka-events-v1 lines, densely sequenced, naming
+# only this daemon's jobs, whose admitted keys must correspond to
+# write-ahead journal records.
 python3 - "$dir" <<'EOF'
 import glob, json, sys
 dir = sys.argv[1]
@@ -103,17 +104,22 @@ dumps = glob.glob(f"{dir}/flightrec/flightrec-*.jsonl")
 assert len(dumps) == 1, f"expected one dump, found {dumps}"
 records = [json.loads(l) for l in open(dumps[0], encoding="utf-8") if l.strip()]
 assert records, "empty flight-recorder dump"
-seqs = [r["seq"] for r in records]
+for r in records:
+    assert r["schema"] == "eureka-events-v1", f"bad schema stamp: {r}"
+    assert isinstance(r["event"], str) and isinstance(r["det"], dict), f"malformed: {r}"
+    for field in ("seq", "t_us"):
+        assert isinstance(r["wall"][field], int), f"missing wall.{field}: {r}"
+seqs = [r["wall"]["seq"] for r in records]
 assert seqs == list(range(seqs[0], seqs[0] + len(seqs))), "seqs not consecutive"
 stems = {p.rsplit("/", 1)[1].split(".")[0] for p in glob.glob(f"{dir}/journal/*.job")}
+admitted = {r["det"]["job"] for r in records if r["event"] == "job-admitted"}
 for r in records:
-    assert r["schema"] == "eureka-flightrec-v1", f"bad schema stamp: {r}"
-    for field in ("seq", "t_us", "kind", "job", "value"):
-        assert field in r, f"missing {field}: {r}"
-    if r["kind"] == "job-admitted":
-        assert f"{r['value']:016x}" in stems, (
-            f"admitted job key {r['value']:016x} has no journal record {stems}")
-print(f"flight recorder OK ({len(records)} records)")
+    if "job" in r["det"]:
+        assert r["det"]["job"] in admitted, f"job of another service: {r}"
+    if r["event"] == "job-admitted":
+        assert r["det"]["key"] in stems, (
+            f"admitted job key {r['det']['key']} has no journal record {stems}")
+print(f"flight recorder OK ({len(records)} events)")
 EOF
 mkdir -p results
 cp "$dir/flightrec"/flightrec-*.jsonl results/flightrec-smoke.jsonl

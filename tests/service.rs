@@ -211,6 +211,11 @@ fn sigkill_crash_replays_unfinished_jobs_from_the_journal() {
     service::service_reset();
     let svc2 = JobService::start(sb.config(false));
     assert!(svc2.wait_idle(), "recovered jobs run to completion");
+    assert_eq!(
+        svc2.health(),
+        (0, false, false),
+        "nothing queued or running"
+    );
     let stats = service::service_stats();
     assert_eq!(stats.recovered, 2, "{stats:?}");
     assert_eq!(stats.completed, 2, "{stats:?}");
@@ -241,4 +246,273 @@ fn sigkill_crash_replays_unfinished_jobs_from_the_journal() {
     assert!(svc3.wait_idle());
     assert_eq!(service::service_stats().recovered, 0);
     svc3.shutdown();
+}
+
+/// An in-memory JSONL sink for the event bus; a `slow` one takes its
+/// time over every job lifecycle line.
+#[derive(Clone, Default)]
+struct Sink {
+    lines: std::sync::Arc<Mutex<Vec<u8>>>,
+    slow: bool,
+}
+
+impl std::io::Write for Sink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.slow && buf.starts_with(b"{\"schema\":\"eureka-events-v1\",\"event\":\"job-") {
+            std::thread::sleep(std::time::Duration::from_millis(3));
+        }
+        self.lines.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// FNV-1a 64 of a string, as 16 hex digits.
+fn fnv_hex(text: &str) -> String {
+    format!("{:016x}", eureka_sim::checkpoint::fnv1a64(text.as_bytes()))
+}
+
+/// The job-lifecycle lines of the pinned projection below.
+const PINNED_LIFECYCLE: &str = r#"{"event":"job-accepted","det":{"job":1,"key":"5f302c65c625fde4"}}
+{"event":"job-accepted","det":{"job":1,"key":"8b5fb5b5eaeda196"}}
+{"event":"job-accepted","det":{"job":1,"key":"8b5fb7b5eaeda4fc"}}
+{"event":"job-accepted","det":{"job":1,"key":"8b5fb9b5eaeda862"}}
+{"event":"job-admitted","det":{"job":1,"key":"5f302c65c625fde4"}}
+{"event":"job-admitted","det":{"job":1,"key":"8b5fb5b5eaeda196"}}
+{"event":"job-admitted","det":{"job":1,"key":"8b5fb5b5eaeda196"}}
+{"event":"job-admitted","det":{"job":1,"key":"8b5fb7b5eaeda4fc"}}
+{"event":"job-admitted","det":{"job":1,"key":"8b5fb9b5eaeda862"}}
+{"event":"job-cancelled","det":{"job":1}}
+{"event":"job-completed","det":{"job":1,"ok":true}}
+{"event":"job-completed","det":{"job":1,"ok":true}}
+{"event":"job-deadline-exceeded","det":{"job":1}}
+{"event":"job-dequeued","det":{"job":1}}
+{"event":"job-dequeued","det":{"job":1}}
+{"event":"job-dequeued","det":{"job":1}}
+{"event":"job-finished","det":{"job":1,"outcome":"cancelled"}}
+{"event":"job-finished","det":{"job":1,"outcome":"completed"}}
+{"event":"job-finished","det":{"job":1,"outcome":"completed"}}
+{"event":"job-finished","det":{"job":1,"outcome":"deadline-exceeded"}}
+{"event":"job-queued","det":{"job":1}}
+{"event":"job-queued","det":{"job":1}}
+{"event":"job-queued","det":{"job":1}}
+{"event":"job-queued","det":{"job":1}}
+{"event":"job-queued","det":{"job":1}}
+{"event":"job-recovered","det":{"job":1,"key":"8b5fb5b5eaeda196"}}
+{"event":"job-shed","det":{"capacity":8}}
+{"event":"job-started","det":{"job":1}}
+{"event":"job-started","det":{"job":1}}
+{"event":"job-started","det":{"job":1}}
+{"event":"service-drained","det":{}}
+{"event":"service-drained","det":{}}
+{"event":"service-drained","det":{}}
+{"event":"service-drained","det":{}}
+{"event":"service-drained","det":{}}"#;
+
+/// FNV-1a 64 of the whole pinned projection, runner events included.
+const PINNED_PROJECTION_DIGEST: &str = "dc371a5a9311b258";
+
+/// Shuts `svc` down, then checks its flight-recorder dump: every line
+/// is a valid `eureka-events-v1` event, `wall.seq` runs consecutively,
+/// only `jobs` (this service's ids and specs) appear, and every
+/// `job-admitted` key names a `<key>.job` journal file.
+fn shutdown_and_check_recorder(svc: JobService, jobs: &[(u64, &JobSpec)], journal: &Journal) {
+    use eureka_obs::json::{self, Value};
+
+    let recorder = svc.flight_recorder();
+    svc.shutdown();
+    let dump = recorder.dump_jsonl();
+    assert!(dump.contains("\"event\":\"service-drained\""), "{dump}");
+    let mut seqs = Vec::new();
+    for line in dump.lines() {
+        eureka_obs::events::validate_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let v = json::parse(line).expect("valid line");
+        seqs.push(
+            v.get("wall")
+                .and_then(|w| w.get("seq"))
+                .and_then(Value::as_f64)
+                .unwrap() as u64,
+        );
+        let det = v.get("det").expect("det");
+        if let Some(id) = det.get("job").and_then(Value::as_f64) {
+            assert!(
+                jobs.iter().any(|(j, _)| *j as f64 == id),
+                "foreign job: {line}"
+            );
+        }
+        if let Some(key) = det.get("key").and_then(Value::as_str) {
+            assert!(
+                jobs.iter().any(|(_, s)| s.digest() == key),
+                "foreign key: {line}"
+            );
+            if line.contains("\"event\":\"job-admitted\"") {
+                assert!(
+                    journal.dir().join(format!("{key}.job")).is_file(),
+                    "admitted key {key} has no journal file"
+                );
+            }
+        }
+    }
+    let first = seqs[0];
+    assert_eq!(seqs, (first..first + seqs.len() as u64).collect::<Vec<_>>());
+}
+
+/// The served stream's deterministic projection, pinned: five lifecycles
+/// (submit → complete, shed, cancel while queued, deadline, crash →
+/// recover) with the bus armed keep emitting exactly these job events,
+/// the runner events under them keep their digest, and each service's
+/// flight recorder holds its own lifecycle as valid bus lines.
+#[test]
+fn served_lifecycles_keep_their_pinned_event_projection() {
+    use eureka_sim::faults::{FaultKind, FaultPlan, FaultSpec};
+
+    let _x = exclusive();
+    let sb = Sandbox::new("pinned");
+    let journal = sb.journal();
+    service::service_reset();
+    let config = |hold: bool| {
+        let mut cfg = ServiceConfig::new(sb.root.join("journal"));
+        cfg.sim = SimConfig {
+            rowgroup_samples: 2,
+            slice_samples: 2,
+            ..SimConfig::fast()
+        };
+        cfg.hold = hold;
+        cfg
+    };
+    let sink = Sink::default();
+    eureka_obs::events::arm(Some(Box::new(sink.clone())));
+
+    // Submit → complete, then a drain and a shed submission.
+    let svc = JobService::start(config(false));
+    let id = svc.submit(spec(0)).expect("admitted");
+    assert!(svc.wait_idle());
+    assert_eq!(svc.status(id), Some(JobStatus::Completed));
+    assert!(svc.drain());
+    assert_eq!(svc.submit(spec(1)), Err(SubmitError::Draining));
+    shutdown_and_check_recorder(svc, &[(id, &spec(0))], &journal);
+
+    // Cancel while queued.
+    let svc = JobService::start(config(true));
+    let id = svc.submit(spec(2)).expect("admitted");
+    assert!(svc.cancel(id));
+    shutdown_and_check_recorder(svc, &[(id, &spec(2))], &journal);
+
+    // Deadline: the first layer stalls well past the job's deadline.
+    let layer = eureka_models::Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32)
+        .gemms()[0]
+        .name
+        .clone();
+    let mut cfg = config(false);
+    cfg.fault = Some((
+        FaultPlan::new(vec![FaultSpec {
+            layer,
+            kind: FaultKind::Stall(300),
+            fail_first: u32::MAX,
+        }]),
+        "pinned".into(),
+    ));
+    let svc = JobService::start(cfg);
+    let mut late = spec(3);
+    late.deadline_ms = 100;
+    let id = svc.submit(late.clone()).expect("admitted");
+    assert!(svc.wait_idle());
+    assert_eq!(svc.status(id), Some(JobStatus::DeadlineExceeded));
+    shutdown_and_check_recorder(svc, &[(id, &late)], &journal);
+
+    // Crash → recover: the held job replays in the next generation.
+    let svc = JobService::start(config(true));
+    svc.submit(spec(4)).expect("admitted");
+    svc.crash();
+    let svc = JobService::start(config(false));
+    assert!(svc.wait_idle());
+    assert_eq!(svc.status(1), Some(JobStatus::Completed));
+    shutdown_and_check_recorder(svc, &[(1, &spec(4))], &journal);
+
+    eureka_obs::events::disarm();
+    let stream = String::from_utf8(sink.lines.lock().unwrap().clone()).unwrap();
+    let projection = eureka_obs::events::deterministic_projection(&stream).expect("valid stream");
+    let lifecycle: Vec<&str> = projection
+        .lines()
+        .filter(|l| l.starts_with("{\"event\":\"job-") || l.starts_with("{\"event\":\"service-"))
+        .collect();
+    assert_eq!(lifecycle.join("\n"), PINNED_LIFECYCLE);
+    assert_eq!(
+        fnv_hex(&projection),
+        PINNED_PROJECTION_DIGEST,
+        "{projection}"
+    );
+    service::service_reset();
+}
+
+/// Spins on `status(id)` from the calling thread; at the first terminal
+/// status, the job's whole terminal accounting must already be visible.
+fn assert_accounted_at_first_terminal(
+    svc: &JobService,
+    journal: &Journal,
+    id: u64,
+    s: &JobSpec,
+    class: usize,
+) {
+    let status = loop {
+        match svc.status(id) {
+            Some(st) if st.is_terminal() => break st,
+            _ => std::hint::spin_loop(),
+        }
+    };
+    let stats = service::service_stats();
+    let counter = [stats.completed, stats.shed, stats.cancelled][class];
+    let e2e = service::latency_counts()[class];
+    let finished = svc.flight_recorder().dump_jsonl().lines().any(|l| {
+        l.contains(&format!(
+            "\"event\":\"job-finished\",\"det\":{{\"job\":{id},"
+        ))
+    });
+    let journaled = std::fs::read_to_string(journal.path_for(&s.canonical())).unwrap_or_default();
+    assert_eq!(
+        counter, 1,
+        "{status:?} published before its class counter ticked"
+    );
+    assert_eq!(e2e, 1, "{status:?} published before its e2e sample");
+    assert!(
+        finished,
+        "{status:?} published before the recorder's job-finished line"
+    );
+    assert!(
+        journaled.contains(&format!("state {}", status.label())),
+        "{status:?} published before its terminal journal record: {journaled:?}"
+    );
+}
+
+/// Whoever sees a terminal status first — here the submitting thread —
+/// sees the finished accounting too: the worker's end of job and a
+/// queued job's cancellation publish the status last.
+#[test]
+fn terminal_status_is_published_after_all_accounting() {
+    let _x = exclusive();
+    let sb = Sandbox::new("race");
+    let slow = Sink {
+        slow: true,
+        ..Sink::default()
+    };
+    eureka_obs::events::arm(Some(Box::new(slow)));
+
+    service::service_reset();
+    let svc = JobService::start(sb.config(false));
+    let id = svc.submit(spec(0)).expect("admitted");
+    assert_accounted_at_first_terminal(&svc, &sb.journal(), id, &spec(0), 0);
+    svc.shutdown();
+
+    service::service_reset();
+    let svc = JobService::start(sb.config(true));
+    let id = svc.submit(spec(1)).expect("admitted");
+    std::thread::scope(|scope| {
+        scope.spawn(|| assert!(svc.cancel(id)));
+        assert_accounted_at_first_terminal(&svc, &sb.journal(), id, &spec(1), 2);
+    });
+    svc.shutdown();
+    eureka_obs::events::disarm();
+    service::service_reset();
 }
