@@ -186,10 +186,6 @@ pub struct BatchOpts {
     pub metrics_out: Option<String>,
     /// Extra attempts per failed work unit (0 = fail immediately).
     pub retries: u32,
-    /// Persist completed unit results under this directory.
-    pub checkpoint_dir: Option<String>,
-    /// Replay completed units from `checkpoint_dir` before executing.
-    pub resume: bool,
 }
 
 /// `--ledger-dir <dir>` / `--no-ledger`, shared by the simulation runs
@@ -223,8 +219,7 @@ USAGE:
   eureka help
   eureka archs
   eureka figure <table1|table2|fig09|fig11|fig12|fig13|fig14|ablations>
-                  [--csv] [--fast] [--jobs <N>]
-                  [--retries <N>] [--checkpoint-dir <dir>] [--resume]
+                  [--csv] [--fast] [--jobs <N>] [--retries <N>]
                   [--events-out <file|->] [--progress|--no-progress]
                   [--ledger-dir <dir>|--no-ledger]
                   [--trace-out <file>] [--metrics-out <file>] [-v|-vv]
@@ -232,7 +227,6 @@ USAGE:
                   [--pruning <dense|cons|mod>] [--arch <name>]
                   [--batch <N>] [--csv] [--fast] [--jobs <N>]
                   [--keep-going] [--max-failures <N>] [--retries <N>]
-                  [--checkpoint-dir <dir>] [--resume]
                   [--events-out <file|->] [--progress|--no-progress]
                   [--ledger-dir <dir>|--no-ledger]
                   [--trace-out <file>] [--metrics-out <file>] [-v|-vv]
@@ -250,7 +244,6 @@ USAGE:
                   [--corpus-dir <dir>] [--replay <dir>] [--fault-matrix]
                   [--chaos]
   eureka serve    [--socket <path>] [--journal-dir <dir>]
-                  [--checkpoint-dir <dir>]
                   [--capacity <N>] [--deadline-ms <N>] [--jobs <N>] [--fast]
                   [--metrics-out <file>] [--flightrec-dir <dir>]
                   [--sla-budget-us <N>] [--ledger-dir <dir>|--no-ledger]
@@ -270,17 +263,13 @@ FAULT TOLERANCE:
   --retries <N>         re-execute a failed unit up to N extra times
                         (deterministic; unsupported combinations are never
                         retried)
-  --checkpoint-dir <dir> persist each completed unit result, keyed by its
-                        content hash, for crash recovery
-  --resume              replay completed units from --checkpoint-dir
-                        bit-identically instead of recomputing them
+  an interrupted run keeps nothing: re-run it (results are deterministic)
 
 TELEMETRY:
   --trace-out <file>    Chrome Trace Event JSON of the run (one track per
                         worker thread; open in chrome://tracing or Perfetto)
   --metrics-out <file>  JSON snapshot of the metrics registry (unit/cache/
-                        store/failure/checkpoint counters, exec-time
-                        histograms)
+                        store/failure counters, exec-time histograms)
   -v / -vv              telemetry summary / per-layer breakdown on stderr
 
 OBSERVABILITY:
@@ -328,9 +317,8 @@ JOB SERVICE (`eureka serve`):
   beyond --capacity queued jobs, submissions shed with a typed
   'overloaded' rejection. Every accepted job is journaled write-ahead
   (schema eureka-journal v1) before it can run, so a SIGKILL'd server
-  replays accepted-but-unfinished jobs on restart — with
-  --checkpoint-dir, without recomputing units the previous life
-  completed. SIGTERM/SIGINT drain gracefully: in-flight work finishes,
+  replays accepted-but-unfinished jobs on restart, each re-run whole.
+  SIGTERM/SIGINT drain gracefully: in-flight work finishes,
   new work sheds, then the process exits. Failed units retry under
   seeded exponential backoff with jitter (deterministic per unit).
   --deadline-ms sets the default per-job deadline, enforced by
@@ -360,7 +348,7 @@ JOB SERVICE (`eureka serve`):
                        service-latency regressions
   verify --chaos       seeded service-layer fault schedules (worker
                        panics, stalls crossing deadlines, mid-job crash
-                       + journal replay, journal/checkpoint corruption,
+                       + journal replay, journal corruption,
                        overload): the service must recover to a
                        consistent ledger with surviving results
                        bit-identical to a fault-free run
@@ -478,8 +466,6 @@ impl BatchOpts {
             "--trace-out" => self.trace_out = Some(args.value(flag)?),
             "--metrics-out" => self.metrics_out = Some(args.value(flag)?),
             "--retries" => self.retries = args.parse(flag)?,
-            "--checkpoint-dir" => self.checkpoint_dir = Some(args.value(flag)?),
-            "--resume" => self.resume = true,
             _ => return Ok(false),
         }
         Ok(true)
@@ -487,9 +473,6 @@ impl BatchOpts {
 
     /// Checks these flags together with the shared `run` flags.
     fn check(&self, run: &RunOpts) -> Result<(), String> {
-        if self.resume && self.checkpoint_dir.is_none() {
-            return Err("--resume requires --checkpoint-dir".into());
-        }
         run.ledger.check()?;
         if self.csv && run.events_to_stdout() {
             return Err("--events-out - conflicts with --csv (both claim stdout)".into());
@@ -516,12 +499,13 @@ impl LedgerOpts {
         Ok(())
     }
 
-    /// Appends `record`. An explicit `--ledger-dir` always wins,
+    /// Appends `record`, stamped with the digest of the process's
+    /// deterministic metrics. An explicit `--ledger-dir` always wins,
     /// `--no-ledger` always disables, and the `results/ledger` default
     /// applies only when that directory already exists — so library
     /// tests and checkouts without the results tree never grow one as a
     /// side effect.
-    fn append(&self, record: &eureka_sim::LedgerRecord) -> Result<(), String> {
+    fn append(&self, record: eureka_sim::LedgerRecord) -> Result<(), String> {
         let default = std::path::Path::new("results/ledger");
         let dir = match &self.dir {
             _ if self.skip => return Ok(()),
@@ -529,7 +513,15 @@ impl LedgerOpts {
             None if default.is_dir() => default,
             None => return Ok(()),
         };
-        let path = eureka_sim::ledger::append(dir, record)?;
+        let snapshot = eureka_obs::metrics::snapshot_json(false);
+        let record = eureka_sim::LedgerRecord {
+            metrics_digest: format!(
+                "{:016x}",
+                eureka_sim::checkpoint::fnv1a64(snapshot.as_bytes())
+            ),
+            ..record
+        };
+        let path = eureka_sim::ledger::append(dir, &record)?;
         eureka_obs::info!("ledger: appended {}", path.display());
         Ok(())
     }
@@ -855,7 +847,6 @@ where
             let mut opts = serve::ServeOpts {
                 socket: "eureka.sock".into(),
                 journal_dir: "eureka-journal".into(),
-                checkpoint_dir: None,
                 capacity: 8,
                 deadline_ms: 0,
                 jobs: 1,
@@ -872,7 +863,6 @@ where
                 match flag {
                     "--socket" => opts.socket = args.value(flag)?,
                     "--journal-dir" => opts.journal_dir = args.value(flag)?,
-                    "--checkpoint-dir" => opts.checkpoint_dir = Some(args.value(flag)?),
                     "--capacity" => {
                         opts.capacity = args.parse(flag)?;
                         if opts.capacity == 0 {
@@ -954,27 +944,30 @@ where
 /// Applies a simulation run's shared flags for the length of one
 /// command. Entering takes effect in a fixed order: the runner globals,
 /// the event bus and progress policy, the log verbosity, and — for the
-/// batch runs — the metrics reset and span arming. [`RunScope::finish`]
-/// writes the batch exports and then appends the ledger record.
-/// Dropping the scope, after `finish` or on any early error, detaches
-/// the event bus and then restores the runner globals the flags set, so
-/// no command's flags leak into library callers or tests in the same
-/// process. The emitted-event count survives the drop (until the next
-/// run arms the bus).
+/// batch runs — the metrics reset and span arming. The bus is armed only
+/// when the run streams events or draws progress; any other run leaves
+/// it alone, so it cannot detach a concurrent run's writer, and records
+/// `events: 0`. [`RunScope::finish`] writes the batch exports, detaches
+/// the bus, and then appends the ledger record. Dropping the scope,
+/// after `finish` or on any early error, detaches the bus and restores
+/// the runner globals the flags set, so no command's flags leak into
+/// library callers or tests in the same process.
 struct RunScope<'a> {
     run: &'a RunOpts,
     batch: Option<&'a BatchOpts>,
     started: std::time::Instant,
     /// `--jobs` set the process-wide worker count.
     set_jobs: bool,
-    /// Retry or checkpoint flags set their process-wide defaults.
-    set_runner: bool,
+    /// `--retries` set the process-wide retry policy.
+    set_retry: bool,
+    /// The run armed the event bus (events streamed or progress drawn).
+    armed_bus: bool,
 }
 
 impl<'a> RunScope<'a> {
     /// `batch` is `None` for `profile`, which takes no batch flags: it
-    /// runs without retries or checkpoints and leaves the metrics
-    /// registry as it found it.
+    /// runs without retries and leaves the metrics registry as it found
+    /// it.
     fn enter(run: &'a RunOpts, batch: Option<&'a BatchOpts>) -> Result<Self, String> {
         use eureka_obs::progress::{self, Mode};
         use eureka_sim::runner;
@@ -989,31 +982,30 @@ impl<'a> RunScope<'a> {
                 Some(Box::new(std::io::BufWriter::new(file)))
             }
         };
-        let (retries, checkpoint_dir, resume) = batch.map_or((0, None, false), |b| {
-            (b.retries, b.checkpoint_dir.as_deref(), b.resume)
-        });
+        let retries = batch.map_or(0, |b| b.retries);
         if let Some(n) = run.jobs {
             runner::set_global_jobs(n);
         }
         if retries > 0 {
             runner::set_global_retry(eureka_sim::RetryPolicy::transient(retries + 1));
         }
-        if let Some(dir) = checkpoint_dir {
-            runner::set_global_checkpoint(Some((dir.into(), resume)));
-        }
+        let mode = match run.progress {
+            None => Mode::Auto,
+            Some(true) => Mode::On,
+            Some(false) => Mode::Off,
+        };
         let scope = RunScope {
             run,
             batch,
             started: std::time::Instant::now(),
             set_jobs: run.jobs.is_some(),
-            set_runner: retries > 0 || checkpoint_dir.is_some(),
+            set_retry: retries > 0,
+            armed_bus: writer.is_some() || mode.is_on(),
         };
-        eureka_obs::events::arm(writer);
-        progress::set_mode(match run.progress {
-            None => Mode::Auto,
-            Some(true) => Mode::On,
-            Some(false) => Mode::Off,
-        });
+        if scope.armed_bus {
+            eureka_obs::events::arm(writer);
+            progress::set_mode(mode);
+        }
         eureka_obs::log::set_verbosity(run.verbose);
         if let Some(batch) = batch {
             eureka_obs::metrics::reset();
@@ -1026,7 +1018,8 @@ impl<'a> RunScope<'a> {
     }
 
     /// Ends a successful run: writes the `--trace-out`/`--metrics-out`
-    /// exports, appends the ledger record, and returns `out` — or
+    /// exports, detaches the bus, appends the ledger record with the
+    /// events emitted while it was attached, and returns `out` — or
     /// nothing when the event stream owns stdout.
     fn finish(
         self,
@@ -1039,14 +1032,15 @@ impl<'a> RunScope<'a> {
         if let Some(batch) = self.batch {
             batch.export(self.run.verbose)?;
         }
-        self.run.ledger.append(&eureka_sim::LedgerRecord {
+        let events = self.release_bus();
+        self.run.ledger.append(eureka_sim::LedgerRecord {
             kind: kind.to_string(),
             label,
             total_cycles,
             speedup_vs_dense,
             wall_ms: self.started.elapsed().as_secs_f64() * 1e3,
-            events: eureka_obs::events::emitted_count(),
-            sla: None,
+            events,
+            ..eureka_sim::LedgerRecord::default()
         })?;
         Ok(if self.run.events_to_stdout() {
             String::new()
@@ -1056,17 +1050,28 @@ impl<'a> RunScope<'a> {
     }
 }
 
+impl RunScope<'_> {
+    /// Detaches the progress reporter and the event bus, if this run
+    /// armed them, returning the events emitted while they were attached
+    /// (0 for a run that did not arm them). Idempotent.
+    fn release_bus(&self) -> u64 {
+        if !self.armed_bus {
+            return 0;
+        }
+        eureka_obs::progress::set_mode(eureka_obs::progress::Mode::Off);
+        eureka_obs::events::disarm()
+    }
+}
+
 impl Drop for RunScope<'_> {
     fn drop(&mut self) {
         use eureka_sim::runner;
-        eureka_obs::progress::set_mode(eureka_obs::progress::Mode::Off);
-        eureka_obs::events::disarm();
+        self.release_bus();
         if self.set_jobs {
             runner::set_global_jobs(0);
         }
-        if self.set_runner {
+        if self.set_retry {
             runner::set_global_retry(eureka_sim::RetryPolicy::NONE);
-            runner::set_global_checkpoint(None);
         }
     }
 }
@@ -1159,8 +1164,8 @@ fn run_bench_diff(baseline: &str, candidate: &str, max_regress: f64) -> Result<S
 }
 
 /// Surfaces degradation counters in the human-readable end-of-run
-/// report: unit failures by kind, checkpoint decode errors,
-/// retry-backoff sleep time, journal decode errors. Healthy runs (all
+/// report: unit failures by kind, retry-backoff sleep time, journal
+/// decode errors. Healthy runs (all
 /// zero) add nothing.
 fn health_warning_lines() -> String {
     let c = |name: &str| eureka_obs::metrics::counter_value(name).unwrap_or(0);
@@ -1173,12 +1178,6 @@ fn health_warning_lines() -> String {
     if panics + sims + cancelled > 0 {
         out.push_str(&format!(
             "  unit failures  : {panics} panic, {sims} sim-error, {cancelled} cancelled\n"
-        ));
-    }
-    let ckpt_errors = c("checkpoint.errors");
-    if ckpt_errors > 0 {
-        out.push_str(&format!(
-            "  ckpt errors    : {ckpt_errors} (corrupt entries skipped; units recomputed)\n"
         ));
     }
     let backoff_slept = c("runner.backoff.slept_us");
@@ -1609,7 +1608,6 @@ mod tests {
         let mut opts = serve::ServeOpts {
             socket: "eureka.sock".into(),
             journal_dir: "eureka-journal".into(),
-            checkpoint_dir: None,
             capacity: 8,
             deadline_ms: 0,
             jobs: 1,
@@ -1776,15 +1774,12 @@ mod tests {
             ),
             // fault tolerance
             (
-                "simulate --benchmark bert --keep-going --max-failures 3 --retries 2 \
-                 --checkpoint-dir ckpt --resume",
+                "simulate --benchmark bert --keep-going --max-failures 3 --retries 2",
                 Ok(Command::Simulate {
                     workload: workload(BertSquad),
                     run: RunOpts::default(),
                     batch: BatchOpts {
                         retries: 2,
-                        checkpoint_dir: some("ckpt"),
-                        resume: true,
                         ..BatchOpts::default()
                     },
                     keep_going: true,
@@ -1796,26 +1791,12 @@ mod tests {
                 Err("--max-failures requires --keep-going"),
             ),
             (
-                "simulate --benchmark bert --resume",
-                Err("--resume requires --checkpoint-dir"),
-            ),
-            (
-                "figure fig11 --resume",
-                Err("--resume requires --checkpoint-dir"),
-            ),
-            (
                 "simulate --benchmark bert --retries x",
                 Err("bad --retries: invalid digit found in string"),
             ),
-            // Figures take retry/checkpoint flags (no keep-going: a
-            // missing layer would corrupt the aggregated table).
-            (
-                "figure fig11 --retries 1 --checkpoint-dir d",
-                Ok(figure(|_, b| {
-                    b.retries = 1;
-                    b.checkpoint_dir = some("d");
-                })),
-            ),
+            // Figures take the retry flag (no keep-going: a missing
+            // layer would corrupt the aggregated table).
+            ("figure fig11 --retries 1", Ok(figure(|_, b| b.retries = 1))),
             // verify
             ("verify", Ok(verify(200, false, false))),
             (
@@ -1942,13 +1923,12 @@ mod tests {
             // service commands
             ("serve", Ok(serve(|_| {}))),
             (
-                "serve --socket /tmp/e.sock --journal-dir j --checkpoint-dir c \
+                "serve --socket /tmp/e.sock --journal-dir j \
                  --capacity 3 --deadline-ms 500 --jobs 2 --fast --metrics-out m.prom \
                  --sla-budget-us 250000 --flightrec-dir fr --ledger-dir l",
                 Ok(serve(|o| {
                     o.socket = "/tmp/e.sock".into();
                     o.journal_dir = "j".into();
-                    o.checkpoint_dir = some("c");
                     o.capacity = 3;
                     o.deadline_ms = 500;
                     o.jobs = 2;
@@ -2065,7 +2045,7 @@ mod tests {
             .flat_map(|(_, flags)| flags.iter().map(|(f, _)| f.as_str()))
             .filter(|f| f.starts_with("--"))
             .collect();
-        assert!(all.len() >= 40, "USAGE scan found only {all:?}");
+        assert!(all.len() >= 38, "USAGE scan found only {all:?}");
         for (cmd, flags) in subcommands.iter().filter(|(_, f)| !f.is_empty()) {
             let base: Vec<&str> = match cmd.as_str() {
                 "figure" => vec!["figure", "fig11"],
@@ -2096,13 +2076,7 @@ mod tests {
                 );
             }
         }
-        for flag in [
-            "--retries",
-            "--checkpoint-dir",
-            "--resume",
-            "--csv",
-            "--metrics-out",
-        ] {
+        for flag in ["--retries", "--csv", "--metrics-out"] {
             assert_eq!(
                 parse(["profile", "--benchmark", "bert", flag]),
                 Err(format!("unknown flag '{flag}' for profile"))
@@ -2345,47 +2319,6 @@ mod tests {
     }
 
     #[test]
-    fn run_simulate_checkpoint_resume_is_identical() {
-        let dir = std::env::temp_dir().join(format!("eureka-cli-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let args = |resume: bool| {
-            let mut v: Vec<String> = [
-                "simulate",
-                "--benchmark",
-                "mobilenet",
-                "--arch",
-                "eureka-p4",
-                "--fast",
-                "--csv",
-                "--checkpoint-dir",
-                dir.to_str().unwrap(),
-            ]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-            if resume {
-                v.push("--resume".into());
-            }
-            v
-        };
-        let first = run(&parse(args(false)).unwrap()).unwrap();
-        let units = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .path()
-                    .extension()
-                    .is_some_and(|x| x == "unit")
-            })
-            .count();
-        assert!(units > 0, "checkpoint files written");
-        let resumed = run(&parse(args(true)).unwrap()).unwrap();
-        assert_eq!(first, resumed, "resume must be bit-identical");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn run_bench_list_empty_and_diff_gate() {
         let dir = std::env::temp_dir().join(format!("eureka-cli-bench-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2552,7 +2485,6 @@ mod tests {
             "runner.failures.panic",
             "runner.failures.sim_error",
             "runner.failures.cancelled",
-            "checkpoint.errors",
             "runner.backoff.slept_us",
             "journal.errors",
         ];
@@ -2562,7 +2494,6 @@ mod tests {
         assert_eq!(health_warning_lines(), "", "healthy runs stay silent");
 
         counter("runner.failures.panic", Class::Deterministic).add(2);
-        counter("checkpoint.errors", Class::Deterministic).inc();
         counter("runner.backoff.slept_us", Class::Deterministic).add(1_500);
         counter("journal.errors", Class::Deterministic).add(4);
         let warnings = health_warning_lines();
@@ -2570,7 +2501,6 @@ mod tests {
             counter(name, Class::Deterministic).reset();
         }
         assert!(warnings.contains("unit failures  : 2 panic"), "{warnings}");
-        assert!(warnings.contains("ckpt errors    : 1"), "{warnings}");
         assert!(
             warnings.contains("backoff        : 1500 us slept"),
             "{warnings}"

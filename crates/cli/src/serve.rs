@@ -22,8 +22,6 @@ pub struct ServeOpts {
     pub socket: String,
     /// Write-ahead job journal directory.
     pub journal_dir: String,
-    /// Unit checkpoint directory (resume across restarts).
-    pub checkpoint_dir: Option<String>,
     /// Admission queue bound.
     pub capacity: usize,
     /// Default per-job deadline in ms (0 = none).
@@ -165,7 +163,7 @@ mod imp {
         sla: eureka_sim::SlaReport,
         started: Instant,
     ) -> Result<(), String> {
-        opts.ledger.append(&eureka_sim::LedgerRecord {
+        opts.ledger.append(eureka_sim::LedgerRecord {
             kind: "serve".to_string(),
             label: format!(
                 "serve|capacity{}|deadline{}ms|{}",
@@ -178,6 +176,7 @@ mod imp {
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
             events: eureka_obs::events::emitted_count(),
             sla: Some(sla),
+            ..eureka_sim::LedgerRecord::default()
         })
     }
 
@@ -224,7 +223,6 @@ mod imp {
         } else {
             SimConfig::paper_default()
         };
-        cfg.checkpoint_dir = opts.checkpoint_dir.as_ref().map(PathBuf::from);
         cfg.flightrec_dir = PathBuf::from(&opts.flightrec_dir);
         cfg
     }

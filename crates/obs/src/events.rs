@@ -45,7 +45,6 @@ pub const KINDS: &[(&str, &[&str])] = &[
     ("unit-finished", &["unit", "source", "ok", "cycles"]),
     ("retry", &["unit", "attempt", "kind"]),
     ("failure", &["unit", "kind", "attempts", "payload"]),
-    ("checkpoint-written", &["unit"]),
     ("run-finished", &["units", "failures"]),
     // Job-service lifecycle (eureka serve).
     ("job-accepted", &["job", "key"]),
@@ -229,23 +228,28 @@ pub fn arm(writer: Option<Box<dyn Write + Send>>) {
         bus.writer = writer;
         bus.seq = 0;
         bus.start = Instant::now();
+        // Under the bus lock, like the increment in `emit`, so the count
+        // matches the lines the new writer receives.
+        EMITTED.store(0, Ordering::Release);
     }
-    EMITTED.store(0, Ordering::Release);
     refresh_enabled();
 }
 
-/// Flushes and detaches the writer. The emitted-line count survives
-/// until the next [`arm`] so callers (the run ledger) can read it
-/// after the run completes.
-pub fn disarm() {
-    {
+/// Flushes and detaches the writer, returning the number of events
+/// emitted since the last [`arm`]. The count is read under the bus lock,
+/// so it equals the lines the writer received. It also survives until
+/// the next [`arm`] (see [`emitted_count`]).
+pub fn disarm() -> u64 {
+    let emitted = {
         let mut bus = bus();
         if let Some(w) = bus.writer.as_mut() {
             let _ = w.flush();
         }
         bus.writer = None;
-    }
+        EMITTED.load(Ordering::Acquire)
+    };
     refresh_enabled();
+    emitted
 }
 
 /// Number of events emitted since the bus was last armed.

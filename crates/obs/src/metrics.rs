@@ -8,7 +8,7 @@
 //!
 //! * [`Class::Deterministic`] — counts and cycle-derived values that are
 //!   byte-identical across reruns of the same work (the `runner.*` /
-//!   `cache.*` / `checkpoint.*` unit accounting and the `store.*`
+//!   `cache.*` unit accounting and the `store.*`
 //!   tile-store family: `store.lookups` / `hits` / `misses` /
 //!   `inserts`).
 //! * [`Class::Timing`] — wall-clock derived (exec-time histograms,

@@ -33,6 +33,19 @@ pub enum Mode {
     Off,
 }
 
+impl Mode {
+    /// Whether the reporter draws under this policy on this process's
+    /// stderr.
+    #[must_use]
+    pub fn is_on(self) -> bool {
+        match self {
+            Mode::On => true,
+            Mode::Off => false,
+            Mode::Auto => std::io::stderr().is_terminal(),
+        }
+    }
+}
+
 /// Minimum interval between redraws (the final `run-finished` redraw is
 /// never throttled).
 const RENDER_INTERVAL: Duration = Duration::from_millis(100);
@@ -47,7 +60,6 @@ struct State {
     retries: u64,
     from_cache: u64,
     from_store: u64,
-    from_checkpoint: u64,
     run_start: Instant,
     last_render: Option<Instant>,
     last_len: usize,
@@ -71,7 +83,6 @@ impl State {
             retries: 0,
             from_cache: 0,
             from_store: 0,
-            from_checkpoint: 0,
             run_start: Instant::now(),
             last_render: None,
             last_len: 0,
@@ -97,11 +108,7 @@ pub fn active() -> bool {
 /// Applies an activation policy. Activating resets the tally;
 /// deactivating finalizes any partially drawn line (see [`finish`]).
 pub fn set_mode(mode: Mode) {
-    let on = match mode {
-        Mode::On => true,
-        Mode::Off => false,
-        Mode::Auto => std::io::stderr().is_terminal(),
-    };
+    let on = mode.is_on();
     let was = ACTIVE.swap(on, Ordering::Release);
     if on && !was {
         state().reset();
@@ -142,7 +149,6 @@ pub(crate) fn observe(ev: &Event) {
                 match source.as_str() {
                     "cache" => st.from_cache += 1,
                     "store" => st.from_store += 1,
-                    "checkpoint" => st.from_checkpoint += 1,
                     _ => {}
                 }
             }
@@ -173,7 +179,7 @@ fn render(st: &mut State, force: bool) {
         "-".to_string()
     };
     let in_flight = st.started.saturating_sub(done);
-    let unit_hits = st.from_cache + st.from_store + st.from_checkpoint;
+    let unit_hits = st.from_cache + st.from_store;
     let unit_pct = (unit_hits * 100).checked_div(st.finished).unwrap_or(0);
     // Tile-store hit rate via the non-registering read: observing it
     // must never add names to the registry.

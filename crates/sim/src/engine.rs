@@ -39,7 +39,7 @@ pub fn try_simulate(
 /// Like [`try_simulate`] but surfaces the full [`JobOutcome`] taxonomy:
 /// layers untouched by a failure survive as a partial report instead of
 /// being discarded with the whole job. Uses the default runner, so the
-/// process-wide retry/checkpoint settings apply.
+/// process-wide retry setting applies.
 #[must_use]
 pub fn simulate_outcome(
     arch: &dyn Architecture,

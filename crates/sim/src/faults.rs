@@ -3,8 +3,8 @@
 //! Nothing here runs in production sweeps: the module exists so tests,
 //! `eureka_verify::faultcheck`, and CI can *prove* the fault-tolerance
 //! contract — that a panicking unit is isolated, that surviving layers
-//! are bit-identical to a fault-free run, that failed units never poison
-//! the content cache, and that checkpoint/resume replays exactly.
+//! are bit-identical to a fault-free run, and that failed units never
+//! poison the content cache.
 //!
 //! A [`FaultPlan`] names (layer, kind) sites, chosen explicitly or by a
 //! seeded RNG; [`FaultyArch`] wraps any real [`Architecture`] and injects

@@ -5,14 +5,12 @@
 //! system. If the server is SIGKILL'd mid-run, a restarting service
 //! calls [`Journal::recover`] and replays exactly the jobs that were
 //! accepted but never reached a terminal state — completed work is not
-//! duplicated (its terminal record survived), and unfinished units
-//! inside a replayed job are further deduplicated by the checkpoint
-//! store, which is keyed by unit content.
+//! duplicated (its terminal record survived), and a replayed job re-runs
+//! whole: no unit result outlives the process that computed it.
 //!
-//! The format mirrors the checkpoint store deliberately: one file per
-//! job named by the FNV-1a hash of the job's canonical spec, written
-//! atomically, read with the same fail-soft policy (a malformed entry
-//! ticks `journal.errors` and is skipped, never aborts recovery).
+//! One file per job, named by the FNV-1a hash of the job's canonical
+//! spec, written atomically and read fail-soft (a malformed entry ticks
+//! `journal.errors` and is skipped, never aborts recovery).
 //!
 //! ```text
 //! eureka-journal v1
@@ -20,7 +18,7 @@
 //! state <accepted|completed|cancelled|failed|deadline-exceeded>
 //! ```
 
-use crate::checkpoint::{escape, fnv1a64, unescape};
+use crate::checkpoint::fnv1a64;
 use eureka_obs::metrics::{self, Class};
 use std::path::{Path, PathBuf};
 
@@ -32,13 +30,37 @@ const HEADER: &str = "eureka-journal v1";
 /// lines, so anything past this is corruption.
 const MAX_ENTRY_BYTES: u64 = 1 << 20;
 
+/// Escapes newlines and backslashes so any spec fits the line-oriented
+/// format.
+fn escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('\n', "\\n")
+}
+
+/// Inverse of [`escape`].
+fn unescape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c == '\\' {
+            match chars.next() {
+                Some('n') => out.push('\n'),
+                Some(other) => out.push(other),
+                None => out.push('\\'),
+            }
+        } else {
+            out.push(c);
+        }
+    }
+    out
+}
+
 /// Lifecycle state of a journaled job. `Accepted` is the only
 /// non-terminal state: recovery replays exactly the `Accepted` entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JournalState {
     /// Admitted to the queue; work may or may not have started.
     Accepted,
-    /// Ran to completion; results are in the store/checkpoints.
+    /// Ran to completion; its report went to the client and the ledger.
     Completed,
     /// Cancelled by an operator before completing.
     Cancelled,
@@ -100,8 +122,8 @@ impl Journal {
         &self.dir
     }
 
-    /// Content-keyed path for a job spec, like the checkpoint store's
-    /// unit files: resubmitting an identical spec reuses one entry.
+    /// Content-keyed path for a job spec: resubmitting an identical spec
+    /// reuses one entry.
     #[must_use]
     pub fn path_for(&self, spec: &str) -> PathBuf {
         self.dir

@@ -36,9 +36,8 @@ use std::path::{Path, PathBuf};
 pub const SCHEMA: &str = "eureka-ledger-v1";
 
 /// One run summary, as assembled by the caller before [`append`] stamps
-/// the environment fields (key, git revision, metrics digest, creation
-/// time).
-#[derive(Clone, Debug)]
+/// the environment fields (key, git revision, creation time).
+#[derive(Clone, Debug, Default)]
 pub struct LedgerRecord {
     /// Which drive path ran: `simulate`, `figure`, or `profile`.
     pub kind: String,
@@ -55,6 +54,10 @@ pub struct LedgerRecord {
     pub wall_ms: f64,
     /// Events emitted on the run-event bus (0 when the bus was off).
     pub events: u64,
+    /// FNV-1a digest (16 hex digits) of the run's deterministic metrics
+    /// snapshot, [`eureka_obs::metrics::snapshot_json`]`(false)`. The
+    /// caller computes it, so [`append`] reads no metrics state.
+    pub metrics_digest: String,
     /// Service SLA summary (`eureka serve --sla-budget-us`); `None` for
     /// batch runs. Serialized as flat `sla_*` fields so `bench diff`
     /// gates p99 / throughput / shed-rate like any other metric.
@@ -97,10 +100,6 @@ pub fn git_describe() -> String {
 pub fn append(dir: &Path, record: &LedgerRecord) -> Result<PathBuf, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let key = record_key(&record.kind, &record.label);
-    let metrics_digest = format!(
-        "{:016x}",
-        fnv1a64(eureka_obs::metrics::snapshot_json(false).as_bytes())
-    );
     let created_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| u128::min(d.as_millis(), u128::from(u64::MAX)) as u64);
@@ -115,10 +114,11 @@ pub fn append(dir: &Path, record: &LedgerRecord) -> Result<PathBuf, String> {
         )
     });
     let body = format!(
-        "{{\"schema\":\"{SCHEMA}\",\"key\":\"{key}\",\"kind\":\"{}\",\"label\":\"{}\",\"git\":\"{}\",\"metrics_digest\":\"{metrics_digest}\",\"total_cycles\":{},\"speedup_vs_dense\":{},\"wall_ms\":{},\"events\":{}{sla_fields},\"created_ms\":{created_ms}}}\n",
+        "{{\"schema\":\"{SCHEMA}\",\"key\":\"{key}\",\"kind\":\"{}\",\"label\":\"{}\",\"git\":\"{}\",\"metrics_digest\":\"{}\",\"total_cycles\":{},\"speedup_vs_dense\":{},\"wall_ms\":{},\"events\":{}{sla_fields},\"created_ms\":{created_ms}}}\n",
         json::escape(&record.kind),
         json::escape(&record.label),
         json::escape(&git_describe()),
+        json::escape(&record.metrics_digest),
         record
             .total_cycles
             .map_or_else(|| "null".to_string(), |v| v.to_string()),
@@ -527,6 +527,7 @@ mod tests {
             speedup_vs_dense: Some(3.07),
             wall_ms: 12.5,
             events: 42,
+            metrics_digest: "00112233aabbccdd".to_string(),
             sla: None,
         };
         let p1 = append(&dir, &record).unwrap();
@@ -543,8 +544,8 @@ mod tests {
         );
         assert_eq!(num(v, "total_cycles"), Some(252_211.0));
         assert_eq!(num(v, "events"), Some(42.0));
-        // Same-process records share git revision and metrics digest, so
-        // the self-diff passes.
+        // Records of one revision with equal metrics digests pass the
+        // self-diff.
         let report = diff(&records[0].1, &records[1].1, 2.0).unwrap();
         assert!(report.ok(), "{}", report.render());
         // An injected cycle regression fails the gate.
@@ -571,6 +572,7 @@ mod tests {
             speedup_vs_dense: None,
             wall_ms: 500.0,
             events: 0,
+            metrics_digest: "00112233aabbccdd".to_string(),
             sla: Some(crate::service::SlaReport {
                 budget_us: 1_000_000,
                 p99_e2e_us: 45_000,
@@ -636,8 +638,7 @@ mod tests {
             total_cycles: None,
             speedup_vs_dense: None,
             wall_ms: 1.0,
-            events: 0,
-            sla: None,
+            ..LedgerRecord::default()
         };
         append(&dir, &record).unwrap();
         let records = read_dir(&dir).unwrap();

@@ -10,8 +10,8 @@
 //!    (every unit owns its forked [`DetRng`] stream, so units are
 //!    order-independent by construction),
 //! 2. **executes** the units — serially or fanned out across a scoped
-//!    thread pool — consulting a process-wide content-keyed cache (and,
-//!    when resuming, an on-disk checkpoint) first, and
+//!    thread pool — consulting a process-wide content-keyed cache first,
+//!    and
 //! 3. **reduces** the results back into [`JobOutcome`]s in layer-index
 //!    order.
 //!
@@ -35,9 +35,10 @@
 //! [`RetryPolicy`]. [`Runner::run_outcomes`] surfaces the full taxonomy
 //! ([`JobOutcome::Complete`] / [`JobOutcome::Degraded`] /
 //! [`JobOutcome::Failed`]); the legacy [`Runner::run_all`] collapses it
-//! back to `Result`s. Failed units are never inserted into the cache or
-//! the checkpoint directory, so no later run can replay a poisoned
-//! result. See DESIGN.md "Failure model & recovery".
+//! back to `Result`s. Failed units are never inserted into the cache, so
+//! no later run can replay a poisoned result. Nothing a run computes
+//! outlives its process: an interrupted run is simply re-run whole. See
+//! DESIGN.md "Failure model & recovery".
 //!
 //! # Caching
 //!
@@ -48,9 +49,7 @@
 //! [`SimConfig`] field. Architecture display names must therefore uniquely
 //! identify simulation behaviour — an invariant the registry upholds and
 //! [`Architecture::name`] documents. Cached replays are bit-identical to
-//! cold misses because unit execution is deterministic. The same content
-//! key, rendered canonically as text, names on-disk checkpoint entries
-//! ([`crate::checkpoint`]) so interrupted sweeps resume bit-identically.
+//! cold misses because unit execution is deterministic.
 //!
 //! Below the unit cache, tile timing is memoized at a finer grain. SUDS
 //! tiles with `p = 4` rows and width `q ≤ 16` read their plan from the
@@ -72,28 +71,28 @@
 //! opens a span (`runner.run_all`, `runner.plan`, `unit.exec`,
 //! `runner.reduce`, plus zero-length `unit.retry` / `unit.failure`
 //! markers) and updates the process-wide metrics registry (`runner.*`,
-//! `cache.*`, `unit.*`, `checkpoint.*`, `store.*` — see the table in
-//! `DESIGN.md`). For a cache-enabled runner the deterministic counters
-//! reconcile as `runner.units_planned == cache.hits + checkpoint.hits +
-//! runner.units_from_store + cache.misses + runner.failures.*` — every
-//! planned unit is accounted for exactly once,
-//! even on degraded runs. Telemetry never feeds back into simulation:
-//! spans cost one relaxed atomic load while disabled, metric updates are
-//! plain atomics, and no measured time influences any unit's result, so
-//! instrumented output stays bit-identical to uninstrumented output.
+//! `cache.*`, `unit.*`, `store.*` — see the table in `DESIGN.md`). For a
+//! cache-enabled runner the deterministic counters reconcile as
+//! `runner.units_planned == cache.hits + runner.units_from_store +
+//! cache.misses + runner.failures.*` — every planned unit is accounted
+//! for exactly once, even on degraded runs. Telemetry never feeds back
+//! into simulation: spans cost one relaxed atomic load while disabled,
+//! metric updates are plain atomics, and no measured time influences any
+//! unit's result, so instrumented output stays bit-identical to
+//! uninstrumented output.
 //!
 //! When the [`eureka_obs::events`] bus is armed (`--events-out` /
 //! `--progress`), the drive path additionally emits the
 //! `eureka-events-v1` stream — `run-started`, `unit-planned` per unit,
-//! `unit-started` / `unit-finished` (with its `cache` / `checkpoint` /
-//! `store` / `computed` source classification), `retry` / `failure`,
-//! `checkpoint-written`, `run-finished`. Every emit site
+//! `unit-started` / `unit-finished` (with its `cache` / `store` /
+//! `computed` source classification), `retry` / `failure`,
+//! `run-finished`. Every emit site
 //! is guarded by one relaxed atomic load and feeds nothing back into
 //! simulation, so event-instrumented runs stay bit-identical too.
 
 use crate::arch::{Architecture, LayerCtx, SimError};
 use crate::backoff::BackoffPolicy;
-use crate::checkpoint::{fnv1a64, CheckpointStore};
+use crate::checkpoint::fnv1a64;
 use crate::config::SimConfig;
 use crate::outcome::{FailureKind, JobOutcome, RetryPolicy, UnitFailure};
 use crate::profile::{LayerProfile, ProfileConfig, SimProfile};
@@ -104,7 +103,6 @@ use eureka_obs::events::{self, Event};
 use eureka_obs::metrics::{self, Class, Counter, Gauge, Histogram};
 use eureka_sparse::rng::DetRng;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
@@ -169,10 +167,10 @@ struct UnitKey {
 }
 
 impl UnitKey {
-    /// Stable single-line text rendering of the full content key; names
-    /// on-disk checkpoint entries, so it must be identical across
-    /// processes and platforms for identical units (floats are rendered
-    /// as raw bits, never formatted).
+    /// Stable single-line text rendering of the full content key; its
+    /// digest is the `key` field of `unit-planned` events, so it must be
+    /// identical across processes and platforms for identical units
+    /// (floats are rendered as raw bits, never formatted).
     fn canonical(&self) -> String {
         fn opt(v: Option<u64>) -> String {
             v.map_or_else(|| "-".to_string(), |b| format!("{b:016x}"))
@@ -272,11 +270,6 @@ static GLOBAL_JOBS: AtomicUsize = AtomicUsize::new(AUTO);
 /// [`Runner::default`] — the CLI's `--retries` flag lands here.
 static GLOBAL_RETRY: Mutex<RetryPolicy> = Mutex::new(RetryPolicy::NONE);
 
-/// Process-wide default checkpoint configuration `(dir, resume)`,
-/// consumed only by [`Runner::default`] — the CLI's `--checkpoint-dir` /
-/// `--resume` flags land here.
-static GLOBAL_CHECKPOINT: Mutex<Option<(PathBuf, bool)>> = Mutex::new(None);
-
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // The runner must stay usable after a unit panic was caught while
     // some other thread held a shared lock: recover the data instead of
@@ -299,13 +292,6 @@ pub fn set_global_retry(policy: RetryPolicy) {
     *lock(&GLOBAL_RETRY) = policy;
 }
 
-/// Sets (or clears) the process-wide default checkpoint configuration,
-/// consumed only by [`Runner::default`]: the directory for completed-unit
-/// files and whether to resume from entries already present.
-pub fn set_global_checkpoint(cfg: Option<(PathBuf, bool)>) {
-    *lock(&GLOBAL_CHECKPOINT) = cfg;
-}
-
 /// The process-wide unit cache. Hit/miss/insert counts live in the
 /// telemetry registry (`cache.hits` / `cache.misses` / `cache.inserts`),
 /// not here — see [`telemetry`].
@@ -321,7 +307,7 @@ fn cache() -> &'static Cache {
 }
 
 /// `&'static` handles to every runner metric, registered on first use.
-/// The `cache.*` / `checkpoint.*` / `runner.units_*` / `runner.jobs` /
+/// The `cache.*` / `runner.units_*` / `runner.jobs` /
 /// `runner.failures.*` / `runner.retries.*` counters are
 /// [`Class::Deterministic`]: with [`cache_reset`] +
 /// [`metrics::reset`] beforehand they are byte-identical across reruns
@@ -342,9 +328,6 @@ struct Telemetry {
     retries_attempts: &'static Counter,
     retries_recovered: &'static Counter,
     backoff_slept_us: &'static Counter,
-    ckpt_hits: &'static Counter,
-    ckpt_writes: &'static Counter,
-    ckpt_errors: &'static Counter,
     exec_micros: &'static Histogram,
     queue_wait_micros: &'static Histogram,
     reduce_micros: &'static Histogram,
@@ -372,9 +355,6 @@ fn telemetry() -> &'static Telemetry {
         // Deterministic: the slept total is a pure function of the
         // (deterministic) retry schedule and the backoff policy.
         backoff_slept_us: metrics::counter("runner.backoff.slept_us", Class::Deterministic),
-        ckpt_hits: metrics::counter("checkpoint.hits", Class::Deterministic),
-        ckpt_writes: metrics::counter("checkpoint.writes", Class::Deterministic),
-        ckpt_errors: metrics::counter("checkpoint.errors", Class::Deterministic),
         exec_micros: metrics::histogram("unit.exec_micros", Class::Timing, t),
         queue_wait_micros: metrics::histogram("unit.queue_wait_micros", Class::Timing, t),
         reduce_micros: metrics::histogram("runner.reduce_micros", Class::Timing, t),
@@ -412,8 +392,7 @@ fn arch_exec_histogram(arch: &str) -> &'static Histogram {
 }
 
 /// The `key` event field: the fnv1a64 digest of the unit's canonical
-/// content key, rendered as 16 hex digits (the same digest that names
-/// checkpoint files).
+/// content key, rendered as 16 hex digits.
 fn unit_key_digest(key: &UnitKey) -> String {
     format!("{:016x}", fnv1a64(key.canonical().as_bytes()))
 }
@@ -470,25 +449,9 @@ fn executed_source(unit: &WorkUnit<'_>) -> &'static str {
     }
 }
 
-/// Persists a unit's report under its canonical `key`, counting the
-/// write (`checkpoint.writes` + a `checkpoint-written` event) or its
-/// failure (`checkpoint.errors`).
-fn write_checkpoint(ck: &CheckpointCfg, key: &str, unit: &WorkUnit<'_>, report: &LayerReport) {
-    let t = telemetry();
-    match ck.store.store(key, report) {
-        Ok(()) => {
-            t.ckpt_writes.inc();
-            if events::enabled() {
-                events::emit(Event::new("checkpoint-written").det_u64("unit", unit.index as u64));
-            }
-        }
-        Err(_) => t.ckpt_errors.inc(),
-    }
-}
-
 /// Emits the `unit-finished` event for a successful unit. `exec_us` is
-/// `0` for cache/checkpoint replays (nothing executed). The `source`
-/// classification (`cache` / `checkpoint` / `store` / `computed`) is a
+/// `0` for cache replays (nothing executed). The `source`
+/// classification (`cache` / `store` / `computed`) is a
 /// deterministic field: unit keys within a shipped plan are distinct,
 /// so which memoization layer serves a unit never depends on worker
 /// scheduling.
@@ -511,7 +474,7 @@ pub fn clear_cache() {
 }
 
 /// Empties the unit cache **and** the tile store's hot tier, and zeroes
-/// the `cache.*`, `checkpoint.*`, `store.*`, `runner.units_from_store`,
+/// the `cache.*`, `store.*`, `runner.units_from_store`,
 /// `runner.failures.*` and `runner.retries.*` counters, so callers can
 /// assert exact counts no matter what ran earlier in the process (test
 /// execution order, warm-up passes, ...).
@@ -529,9 +492,6 @@ pub fn cache_reset() {
     t.retries_attempts.reset();
     t.retries_recovered.reset();
     t.backoff_slept_us.reset();
-    t.ckpt_hits.reset();
-    t.ckpt_writes.reset();
-    t.ckpt_errors.reset();
 }
 
 /// `(hits, misses, entries)` counters of the process-wide unit cache.
@@ -574,14 +534,6 @@ pub fn retry_stats() -> (u64, u64) {
     (t.retries_attempts.get(), t.retries_recovered.get())
 }
 
-/// `(hits, writes, errors)` of the on-disk checkpoint layer
-/// (`checkpoint.*`).
-#[must_use]
-pub fn checkpoint_stats() -> (u64, u64, u64) {
-    let t = telemetry();
-    (t.ckpt_hits.get(), t.ckpt_writes.get(), t.ckpt_errors.get())
-}
-
 /// Units that executed with every sampled tile served by the tile store
 /// (`runner.units_from_store`): the unit ran — its RNG streams advanced
 /// and its report is bit-identical to a cold compute — but zero tile
@@ -589,14 +541,6 @@ pub fn checkpoint_stats() -> (u64, u64, u64) {
 #[must_use]
 pub fn units_from_store_stats() -> u64 {
     telemetry().units_from_store.get()
-}
-
-/// Checkpoint configuration carried by a runner: where completed-unit
-/// files live, and whether to consult existing entries before executing.
-#[derive(Clone, Debug)]
-struct CheckpointCfg {
-    store: CheckpointStore,
-    resume: bool,
 }
 
 /// A unit failure as seen by the execute phase, before the reduce phase
@@ -667,7 +611,7 @@ impl CancelToken {
 }
 
 /// Executes [`SimJob`]s: plans per-layer units, runs them (optionally in
-/// parallel, optionally memoized, optionally checkpointed) under panic
+/// parallel, optionally memoized) under panic
 /// isolation and a bounded retry policy, and reduces deterministically.
 ///
 /// The parallel and serial modes produce bit-identical results; see the
@@ -679,25 +623,18 @@ pub struct Runner {
     retry: RetryPolicy,
     backoff: BackoffPolicy,
     cancel: Option<CancelToken>,
-    checkpoint: Option<CheckpointCfg>,
     store_enabled: bool,
 }
 
 impl Default for Runner {
     /// The standard drive path: parallel across all cores (or the
     /// [`set_global_jobs`] override), with the unit cache enabled, and the
-    /// process-wide [`set_global_retry`] / [`set_global_checkpoint`]
-    /// settings applied (explicit constructors ignore those, so tests
-    /// composing their own runners stay isolated).
+    /// process-wide [`set_global_retry`] policy applied (explicit
+    /// constructors ignore it, so tests composing their own runners stay
+    /// isolated).
     fn default() -> Self {
         let mut runner = Runner::parallel();
         runner.retry = *lock(&GLOBAL_RETRY);
-        runner.checkpoint = lock(&GLOBAL_CHECKPOINT)
-            .clone()
-            .map(|(dir, resume)| CheckpointCfg {
-                store: CheckpointStore::new(dir),
-                resume,
-            });
         runner
     }
 }
@@ -725,7 +662,6 @@ impl Runner {
             retry: RetryPolicy::NONE,
             backoff: BackoffPolicy::NONE,
             cancel: None,
-            checkpoint: None,
             store_enabled: true,
         }
     }
@@ -764,19 +700,6 @@ impl Runner {
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Enables checkpointing under `dir`: every successfully executed
-    /// unit is persisted, and with `resume` existing entries are replayed
-    /// instead of recomputed (bit-identically — entries are keyed by the
-    /// unit's full content key).
-    #[must_use]
-    pub fn with_checkpoint(mut self, dir: impl Into<PathBuf>, resume: bool) -> Self {
-        self.checkpoint = Some(CheckpointCfg {
-            store: CheckpointStore::new(dir.into()),
-            resume,
-        });
         self
     }
 
@@ -964,10 +887,10 @@ impl Runner {
         results
     }
 
-    /// Executes one unit: in-memory cache first, then (when resuming) the
-    /// on-disk checkpoint, then real execution under panic isolation and
-    /// the retry policy. Exactly one of `cache.hits`, `checkpoint.hits`,
-    /// `runner.units_from_store` (successful execution with every tile
+    /// Executes one unit: in-memory cache first, then real execution
+    /// under panic isolation and the retry policy. Exactly one of
+    /// `cache.hits`, `runner.units_from_store` (successful execution with
+    /// every tile
     /// served by the store), `cache.misses` (successful execution that
     /// simulated at least one tile, or looked none up) or
     /// `runner.failures.*` (final failure) fires per call, for cached
@@ -1005,35 +928,10 @@ impl Runner {
             if let Some(hit) = lock(&cache().map).get(&unit.key).cloned() {
                 t.cache_hits.inc();
                 t.units_cached.inc();
-                if let Some(ck) = &self.checkpoint {
-                    // Keep the checkpoint directory complete even when
-                    // the unit never re-executes in this process.
-                    let key = unit.key.canonical();
-                    if ck.store.load(&key).is_none() {
-                        write_checkpoint(ck, &key, unit, &hit);
-                    }
-                }
                 if events_on {
                     emit_unit_finished(unit, "cache", &hit, 0);
                 }
                 return Ok(hit);
-            }
-        }
-        if let Some(ck) = &self.checkpoint {
-            if ck.resume {
-                let key = unit.key.canonical();
-                if let Some(report) = ck.store.load(&key) {
-                    t.ckpt_hits.inc();
-                    t.units_cached.inc();
-                    if self.cached {
-                        lock(&cache().map).insert(unit.key.clone(), report.clone());
-                        t.cache_inserts.inc();
-                    }
-                    if events_on {
-                        emit_unit_finished(unit, "checkpoint", &report, 0);
-                    }
-                    return Ok(report);
-                }
             }
         }
         let mut attempt: u32 = 0;
@@ -1073,9 +971,6 @@ impl Runner {
                         }
                         lock(&cache().map).insert(unit.key.clone(), report.clone());
                         t.cache_inserts.inc();
-                    }
-                    if let Some(ck) = &self.checkpoint {
-                        write_checkpoint(ck, &unit.key.canonical(), unit, &report);
                     }
                     if events_on {
                         emit_unit_finished(unit, source, &report, exec_us);
@@ -1145,9 +1040,9 @@ impl Runner {
     /// asserted by the workspace test-suite for every registry
     /// architecture), and the profile is assembled in layer-index order,
     /// so its JSON export is byte-identical across serial and parallel
-    /// runners. Profiled units bypass the unit cache and the checkpoint
-    /// store: both hold bare [`LayerReport`]s, and replaying one could
-    /// not reconstruct its row-level attribution. The deterministic
+    /// runners. Profiled units bypass the unit cache: it holds bare
+    /// [`LayerReport`]s, and replaying one could not reconstruct its
+    /// row-level attribution. The deterministic
     /// `runner.*`/`cache.*` counters are therefore untouched, keeping the
     /// plain drive path's reconciliation invariant intact. The tile
     /// store, however, *does* serve profiled units — tile outcomes carry
@@ -1602,21 +1497,14 @@ mod tests {
     }
 
     #[test]
-    fn global_retry_and_checkpoint_only_affect_default_runners() {
+    fn global_retry_only_affects_default_runners() {
         set_global_retry(RetryPolicy::transient(3));
-        let dir = std::env::temp_dir().join(format!("eureka-ckpt-glob-{}", std::process::id()));
-        set_global_checkpoint(Some((dir.clone(), true)));
-        let d = Runner::default();
-        assert_eq!(d.retry.max_attempts, 3);
-        assert!(d.checkpoint.as_ref().is_some_and(|c| c.resume));
+        assert_eq!(Runner::default().retry.max_attempts, 3);
         // Explicit constructors are unaffected (test isolation).
         assert_eq!(Runner::serial().retry, RetryPolicy::NONE);
-        assert!(Runner::parallel().checkpoint.is_none());
+        assert_eq!(Runner::parallel().retry, RetryPolicy::NONE);
         set_global_retry(RetryPolicy::NONE);
-        set_global_checkpoint(None);
         assert_eq!(Runner::default().retry, RetryPolicy::NONE);
-        assert!(Runner::default().checkpoint.is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1707,7 +1595,7 @@ mod tests {
         uniq.sort();
         uniq.dedup();
         assert_eq!(uniq.len(), keys.len(), "every unit key is distinct");
-        // Same plan, same keys (the stability the checkpoint layer needs).
+        // Same plan, same keys (the stability `unit-planned` digests need).
         let mut units2 = Vec::new();
         plan(&job, &mut units2, false);
         let keys2: Vec<String> = units2.iter().map(|u| u.key.canonical()).collect();

@@ -12,9 +12,8 @@
 //! Jobs execute one at a time under the full resilience stack: bounded
 //! retries with seeded exponential backoff ([`crate::backoff`]),
 //! cooperative cancellation and deadlines checked at unit boundaries
-//! ([`crate::runner::CancelToken`]), checkpoint-store dedup so a
-//! replayed job never recomputes units it completed in a previous life,
-//! and a terminal journal record when the job leaves the system.
+//! ([`crate::runner::CancelToken`]), and a terminal journal record when
+//! the job leaves the system. A journal-recovered job re-runs whole.
 //!
 //! Every job enters through one admit path (fresh submission or journal
 //! recovery) and leaves through one finish path (end of run, or
@@ -326,9 +325,6 @@ pub struct ServiceConfig {
     pub backoff: BackoffPolicy,
     /// Write-ahead journal directory (required: it is the crash story).
     pub journal_dir: PathBuf,
-    /// Checkpoint directory; when set, completed units persist and a
-    /// replayed job resumes instead of recomputing them.
-    pub checkpoint_dir: Option<PathBuf>,
     /// Runner worker threads per job (`0` = auto).
     pub jobs: usize,
     /// Simulator configuration applied to every job.
@@ -340,9 +336,7 @@ pub struct ServiceConfig {
     /// Chaos hook: wrap every resolved architecture in a
     /// [`crate::faults::FaultyArch`] carrying this plan, under the
     /// given display tag (tags namespace the unit cache, so injected
-    /// runs never alias clean ones — and two generations sharing a tag
-    /// *do* share checkpoints, which the crash-recovery chaos scenarios
-    /// rely on).
+    /// runs never alias clean ones).
     pub fault: Option<(crate::faults::FaultPlan, String)>,
     /// Directory for flight-recorder dumps
     /// (`flightrec-<pid>.jsonl`, written by the `dump` protocol verb
@@ -361,7 +355,6 @@ impl ServiceConfig {
             default_deadline_ms: 0,
             backoff: BackoffPolicy::exponential(500, 50_000),
             journal_dir: journal_dir.into(),
-            checkpoint_dir: None,
             jobs: 1,
             sim: SimConfig::fast(),
             hold: false,
@@ -788,8 +781,7 @@ impl JobService {
         });
 
         // Crash recovery: re-admit every journaled job that never
-        // reached a terminal state. Unfinished units recompute; units
-        // the previous life completed replay from the checkpoint store.
+        // reached a terminal state; each re-runs whole.
         {
             let mut st = lock(&inner.state);
             for spec_text in inner.journal.recover() {
@@ -1042,7 +1034,7 @@ fn worker_loop(inner: &ServiceInner) {
             }
         };
 
-        // Run under retries + backoff + cancellation + checkpoint dedup.
+        // Run under retries + backoff + cancellation.
         // The worker is the only thread driving runners in this
         // service, so the retry-counter delta below is this job's.
         let retries_before = runner::retry_stats().0;
@@ -1105,14 +1097,11 @@ fn run_job(inner: &ServiceInner, spec: &JobSpec, token: &CancelToken) -> Option<
         None => arch,
     };
     let workload = Workload::new(spec.benchmark, spec.pruning, spec.batch);
-    let mut runner = Runner::with_jobs(inner.cfg.jobs)
+    let runner = Runner::with_jobs(inner.cfg.jobs)
         .with_retry(RetryPolicy::transient(spec.retries + 1))
         .with_backoff(inner.cfg.backoff)
         .with_cancel(token.clone())
         .without_store();
-    if let Some(dir) = &inner.cfg.checkpoint_dir {
-        runner = runner.with_checkpoint(dir.clone(), true);
-    }
     let job = SimJob::new(arch.as_ref(), &workload, inner.cfg.sim);
     Some(runner.run_outcome(&job))
 }

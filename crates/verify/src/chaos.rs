@@ -3,11 +3,11 @@
 //! Extends the fault-injection layer ([`eureka_sim::faults`]) from the
 //! runner up into the service: seeded schedules of worker panics,
 //! transient faults, stalls that cross deadlines, mid-job crash (the
-//! in-process SIGKILL emulation) with journal replay, on-disk
-//! journal/checkpoint corruption, and overload shedding. After every
-//! scenario the service must land in a consistent ledger — the
-//! `service.*` reconciliation invariant holds — and every surviving
-//! result must be bit-identical to a fault-free run of the same spec.
+//! in-process SIGKILL emulation) with journal replay, on-disk journal
+//! corruption, and overload shedding. After every scenario the service
+//! must land in a consistent ledger — the `service.*` reconciliation
+//! invariant holds — and every surviving result must be bit-identical
+//! to a fault-free run of the same spec.
 //!
 //! Scenarios cycle per case, so `--cases 50` runs each of the seven
 //! about seven times under varying seeds. The CLI front end is
@@ -92,7 +92,7 @@ fn check_reconciled(what: &str) -> Result<(), String> {
     )
 }
 
-/// One chaos case's sandbox: fresh journal/checkpoint dirs and a
+/// One chaos case's sandbox: a fresh journal dir and a
 /// case-unique fault tag (tags namespace the unit cache).
 struct Sandbox {
     root: PathBuf,
@@ -111,7 +111,6 @@ impl Sandbox {
     fn config(&self, plan: FaultPlan) -> ServiceConfig {
         let mut cfg = ServiceConfig::new(self.root.join("journal"));
         cfg.sim = chaos_config();
-        cfg.checkpoint_dir = Some(self.root.join("ckpt"));
         // Fast, deterministic retry spacing for chaos runs.
         cfg.backoff = eureka_sim::BackoffPolicy::exponential(100, 2_000);
         cfg.fault = Some((plan, self.tag.clone()));
@@ -312,8 +311,8 @@ fn scenario_deadline(
 }
 
 /// Scenario 4 — mid-job SIGKILL emulation + restart: the journal
-/// replays the unfinished job, checkpointed units are not recomputed,
-/// and the final report is bit-identical.
+/// replays the unfinished job, which re-runs whole to a bit-identical
+/// report.
 fn scenario_crash_recover(
     sb: &Sandbox,
     baseline: &SimReport,
@@ -321,7 +320,7 @@ fn scenario_crash_recover(
     out: &mut String,
 ) -> Result<(), String> {
     // Generation 1: stall a middle layer so the crash lands mid-job,
-    // with a few units already checkpointed.
+    // with a few units already complete.
     let stall_at = layers.len() / 2;
     let plan = FaultPlan::new(vec![FaultSpec {
         layer: layers[stall_at].clone(),
@@ -341,9 +340,8 @@ fn scenario_crash_recover(
         "crash: the unfinished job must await replay (accepted, no terminal)",
     )?;
 
-    // Generation 2: fresh ledger, same dirs, same tag, no faults — the
-    // journal replays the job and the checkpoint store serves whatever
-    // generation 1 completed.
+    // Generation 2: fresh ledger, same journal, same tag, no faults —
+    // the journal replays the job, which re-runs whole.
     service::service_reset();
     let svc2 = JobService::start(sb.config(FaultPlan::empty()));
     check(svc2.wait_idle(), "recovered job runs to completion")?;
@@ -370,8 +368,8 @@ fn scenario_crash_recover(
     Ok(())
 }
 
-/// Scenario 5 — on-disk corruption of journal and checkpoint shards:
-/// recovery degrades to recomputation, never to an abort or wrong data.
+/// Scenario 5 — on-disk journal corruption: recovery skips the damaged
+/// entries, never aborts or replays wrong data.
 fn scenario_corruption(sb: &Sandbox, baseline: &SimReport, out: &mut String) -> Result<(), String> {
     // Seed the disks with a completed job.
     let svc = JobService::start(sb.config(FaultPlan::empty()));
@@ -382,42 +380,29 @@ fn scenario_corruption(sb: &Sandbox, baseline: &SimReport, out: &mut String) -> 
     )?;
     svc.shutdown();
 
-    // Vandalize: truncate one checkpoint entry, NUL another, drop
-    // garbage into the journal.
-    let ckpt_dir = sb.root.join("ckpt");
-    let mut units: Vec<PathBuf> = std::fs::read_dir(&ckpt_dir)
-        .map_err(|e| format!("chaos: read ckpt dir: {e}"))?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "unit"))
-        .collect();
-    units.sort();
-    check(units.len() >= 2, "corruption: expected checkpointed units")?;
-    let text = std::fs::read_to_string(&units[0]).map_err(|e| format!("chaos: {e}"))?;
-    std::fs::write(&units[0], &text[..text.len() / 2]).map_err(|e| format!("chaos: {e}"))?;
-    std::fs::write(&units[1], b"eureka\0checkpoint").map_err(|e| format!("chaos: {e}"))?;
+    // Vandalize: drop garbage and a NUL-bearing entry into the journal.
     let journal_dir = sb.root.join("journal");
     std::fs::write(journal_dir.join("0000000000000bad.job"), "not a journal\n")
         .map_err(|e| format!("chaos: {e}"))?;
     std::fs::write(journal_dir.join("0000000000000nul.job"), b"eureka\0journal")
         .map_err(|e| format!("chaos: {e}"))?;
 
-    // A fresh service on the vandalized dirs: starts, recovers nothing
-    // (the completed record survived), and a resubmit recomputes the
-    // damaged units into a bit-identical report.
+    // A fresh service on the vandalized journal: starts, recovers
+    // nothing (the completed record survived), and a resubmit completes
+    // with a bit-identical report.
     service::service_reset();
     let svc2 = JobService::start(sb.config(FaultPlan::empty()));
     let (id, status) = submit_and_wait(&svc2, spec())?;
     check(
         status == JobStatus::Completed,
-        "corruption: resubmit on damaged dirs completes",
+        "corruption: resubmit on a damaged journal completes",
     )?;
     layers_match(&report_of(&svc2, id)?, baseline, "corruption")?;
     svc2.shutdown();
     check_reconciled("corruption")?;
     let _ = writeln!(
         out,
-        "  corruption   damaged shards skipped, report identical"
+        "  corruption   damaged journal entries skipped, report identical"
     );
     Ok(())
 }

@@ -11,9 +11,6 @@
 //! * failed units never poison the process-wide unit cache;
 //! * a transient fault plus a [`RetryPolicy`] recovers to a report
 //!   bit-identical to the fault-free run;
-//! * a degraded run's checkpoint directory resumes to a complete,
-//!   bit-identical report (the kill-and-resume story, emulated in
-//!   process);
 //! * slow units (stalls) change nothing but wall-clock.
 //!
 //! The CLI front end is `eureka verify --fault-matrix [--seed S]`.
@@ -262,61 +259,8 @@ fn run_retry_check(
     Ok(())
 }
 
-/// Emulates kill-and-resume: a degraded checkpointed run leaves survivor
-/// units on disk; a resumed run under the same arch name completes and
-/// matches the fault-free baseline bit-identically.
-fn run_resume_check(
-    seed: u64,
-    workload: &Workload,
-    cfg: &SimConfig,
-    baseline: &SimReport,
-    out: &mut String,
-) -> Result<(), String> {
-    let dir =
-        std::env::temp_dir().join(format!("eureka-faultcheck-{}-{seed:x}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("fault-matrix: mkdir: {e}"))?;
-    let result = (|| {
-        let layers: Vec<String> = workload.gemms().into_iter().map(|g| g.name).collect();
-        let plan = FaultPlan::seeded(seed, &layers, FAULTS_PER_CELL, FaultKind::Error);
-        let tag = format!("fm-resume-s{seed:x}");
-
-        // "Crashing" run: memory cache off so resume can only come from
-        // the checkpoint files, exactly like a fresh process would.
-        let faulty = FaultyArch::new(Box::new(arch::eureka_p4()), plan, &tag);
-        let first = Runner::serial()
-            .without_cache()
-            .with_checkpoint(&dir, false)
-            .run_outcome(&SimJob::new(&faulty, workload, *cfg));
-        let survivors = first.report().map(|r| r.layers.len()).unwrap_or_default();
-        check(
-            !first.is_complete() && survivors > 0,
-            "resume: the faulted checkpointed run must degrade, not fail outright",
-        )?;
-
-        // Resumed run: same arch name, clean plan, fresh runner.
-        let clean = FaultyArch::new(Box::new(arch::eureka_p4()), FaultPlan::empty(), &tag);
-        let resumed = Runner::serial()
-            .without_cache()
-            .with_checkpoint(&dir, true)
-            .run_outcome(&SimJob::new(&clean, workload, *cfg));
-        check(resumed.is_complete(), "resume: resumed run must complete")?;
-        layers_match(
-            resumed.report().expect("complete outcome has a report"),
-            baseline,
-            "resume",
-        )?;
-        let _ = writeln!(
-            out,
-            "  resume                 {survivors} survivor(s) checkpointed, resumed report identical"
-        );
-        Ok(())
-    })();
-    std::fs::remove_dir_all(&dir).ok();
-    result
-}
-
-/// Runs the seeded fault matrix (kind × parallelism) plus the retry and
-/// checkpoint-resume checks.
+/// Runs the seeded fault matrix (kind × parallelism) plus the retry
+/// check.
 ///
 /// # Errors
 ///
@@ -340,7 +284,6 @@ pub fn run_fault_matrix(seed: u64) -> Result<String, String> {
         }
     }
     run_retry_check(seed, &workload, &cfg, &baseline, &mut out)?;
-    run_resume_check(seed, &workload, &cfg, &baseline, &mut out)?;
     let _ = writeln!(out, "fault-tolerance contract holds");
     Ok(out)
 }
@@ -355,6 +298,6 @@ mod tests {
         assert!(out.contains("fault-tolerance contract holds"), "{out}");
         assert!(out.contains("panic x jobs=1"), "{out}");
         assert!(out.contains("stall x jobs=4"), "{out}");
-        assert!(out.contains("resume"), "{out}");
+        assert!(out.contains("retry "), "{out}");
     }
 }

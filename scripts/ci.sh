@@ -22,7 +22,6 @@ cargo run --release -q -p eureka-cli -- verify --replay tests/corpus
 cargo run --release -q -p eureka-cli -- verify --cases 200 --seed 42 | tail -n 1
 cargo run --release -q -p eureka-cli -- verify --fault-matrix --seed 42 | tail -n 1
 cargo run --release -q -p eureka-cli -- verify --chaos --cases 50 --seed 42 | tail -n 1
-scripts/resume_smoke.sh
 scripts/serve_smoke.sh
 # bench diff exit-code contract: missing snapshot = 2 (broken wiring),
 # regression = 1 (the gate fired) — CI must be able to tell them apart.

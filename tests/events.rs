@@ -244,44 +244,3 @@ fn unit_source_classification_tracks_memoization() {
         assert!(line.contains("\"exec_us\":0"), "{line}");
     }
 }
-
-#[test]
-fn checkpoint_writes_surface_as_events() {
-    let _x = exclusive();
-    let dir = std::env::temp_dir().join(format!("eureka-events-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 14, // distinctive: this test owns its entries
-        ..test_cfg()
-    };
-    let a = arch::by_name("cnvlutin").expect("registered");
-    let job = SimJob::new(a.as_ref(), &w, cfg);
-
-    runner::cache_reset();
-    let cold = capture(|| {
-        Runner::serial()
-            .without_cache()
-            .with_checkpoint(&dir, false)
-            .run(&job)
-            .expect("supported");
-    });
-    assert_eq!(count(&cold, "checkpoint-written"), w.layer_count());
-
-    // A resumed run replays every unit from the checkpoint store.
-    runner::cache_reset();
-    let warm = capture(|| {
-        Runner::serial()
-            .without_cache()
-            .with_checkpoint(&dir, true)
-            .run(&job)
-            .expect("supported");
-    });
-    assert_eq!(count(&warm, "checkpoint-written"), 0);
-    let replayed = warm
-        .lines()
-        .filter(|l| l.contains("\"source\":\"checkpoint\""))
-        .count();
-    assert_eq!(replayed, w.layer_count(), "{warm}");
-    std::fs::remove_dir_all(&dir).ok();
-}

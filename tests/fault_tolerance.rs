@@ -1,8 +1,8 @@
 //! The fault-tolerance contract, enforced end to end: a failing unit
 //! degrades its job instead of aborting the sweep, degraded results are
 //! bit-identical between serial and parallel execution, retry policies
-//! only touch transient kinds, checkpoints round-trip through the
-//! runner, and the seeded verification matrix passes.
+//! only touch transient kinds, and the seeded verification matrix
+//! passes.
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::arch::{self, SimError};
@@ -127,53 +127,6 @@ fn unsupported_combinations_are_never_retried() {
     for f in outcome.failures() {
         assert_eq!(f.attempts, 1, "exactly one attempt per refused unit");
     }
-}
-
-#[test]
-fn checkpoints_round_trip_through_the_runner() {
-    let _x = exclusive();
-    let dir = std::env::temp_dir().join(format!("eureka-ft-ckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 17, // distinctive: this test owns its entries
-        ..test_cfg()
-    };
-    let a = arch::by_name("eureka-p4").expect("registered");
-    let job = SimJob::new(a.as_ref(), &w, cfg);
-
-    // Memory cache off throughout: the replay below can only be served
-    // from the checkpoint files, exactly as a fresh process would.
-    runner::cache_reset();
-    let cold = Runner::serial()
-        .without_cache()
-        .with_checkpoint(&dir, false)
-        .run(&job)
-        .expect("supported");
-    let (_, writes, errors) = runner::checkpoint_stats();
-    assert_eq!(writes, w.layer_count() as u64, "one file per unit");
-    assert_eq!(errors, 0);
-
-    let resumed = Runner::serial()
-        .without_cache()
-        .with_checkpoint(&dir, true)
-        .run(&job)
-        .expect("supported");
-    assert_eq!(cold, resumed, "checkpoint replay must be bit-identical");
-    let (hits, _, _) = runner::checkpoint_stats();
-    assert_eq!(hits, w.layer_count() as u64, "every unit resumes from disk");
-
-    // Without --resume the directory is write-only: nothing is read back.
-    let rerun = Runner::serial()
-        .without_cache()
-        .with_checkpoint(&dir, false)
-        .run(&job)
-        .expect("supported");
-    assert_eq!(cold, rerun);
-    let (hits_after, _, _) = runner::checkpoint_stats();
-    assert_eq!(hits_after, w.layer_count() as u64, "no new checkpoint hits");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -2,9 +2,8 @@
 //! (through the real signal handler) drains gracefully — in-flight work
 //! finishes, new work sheds, the journal ends clean — and a SIGKILL
 //! (crash emulation) loses nothing: accepted-but-unfinished jobs replay
-//! from the write-ahead journal on restart, without duplicating units
-//! the previous life completed, and the service ledger reconciles in
-//! every generation.
+//! from the write-ahead journal on restart and re-run whole, and the
+//! service ledger reconciles in every generation.
 
 use eureka_models::{Benchmark, PruningLevel};
 use eureka_sim::service::{self, JobService, JobSpec, JobStatus, ServiceConfig, SubmitError};
@@ -20,7 +19,7 @@ fn exclusive() -> MutexGuard<'static, ()> {
 }
 
 /// Sampling counts distinct from every other suite so these tests own
-/// their cache and checkpoint entries.
+/// their unit-cache entries.
 fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 5,
@@ -44,7 +43,6 @@ impl Sandbox {
     fn config(&self, hold: bool) -> ServiceConfig {
         let mut cfg = ServiceConfig::new(self.root.join("journal"));
         cfg.sim = test_cfg();
-        cfg.checkpoint_dir = Some(self.root.join("ckpt"));
         cfg.backoff = BackoffPolicy::exponential(100, 2_000);
         cfg.hold = hold;
         cfg
@@ -207,7 +205,7 @@ fn sigkill_crash_replays_unfinished_jobs_from_the_journal() {
     expected.sort();
     assert_eq!(unfinished, expected, "both accepted jobs must await replay");
 
-    // Generation 2: same journal + checkpoint dirs, fresh ledger.
+    // Generation 2: same journal dir, fresh ledger.
     service::service_reset();
     let svc2 = JobService::start(sb.config(false));
     assert!(svc2.wait_idle(), "recovered jobs run to completion");

@@ -149,18 +149,17 @@ fn degraded_run_counters_reconcile_and_spans_flush() {
     assert!(outcome.report().is_some(), "survivors are kept");
 
     // The degraded-run accounting invariant: every planned unit fires
-    // exactly one of cache.hits, checkpoint.hits,
-    // runner.units_from_store, cache.misses or runner.failures.*.
+    // exactly one of cache.hits, runner.units_from_store, cache.misses
+    // or runner.failures.*.
     let planned =
         obs::metrics::counter("runner.units_planned", obs::metrics::Class::Deterministic).get();
     assert_eq!(planned, w.layer_count() as u64);
     let (hits, misses, _) = runner::cache_stats();
-    let (ckpt_hits, _, _) = runner::checkpoint_stats();
     let ufs = runner::units_from_store_stats();
     assert_eq!(
-        hits + ckpt_hits + ufs + misses + failures,
+        hits + ufs + misses + failures,
         planned,
-        "hits {hits} + ckpt {ckpt_hits} + store-served {ufs} + misses {misses} + failures {failures} != planned"
+        "hits {hits} + store-served {ufs} + misses {misses} + failures {failures} != planned"
     );
     let (failed_panic, failed_sim) = runner::failure_stats();
     assert_eq!((failed_panic, failed_sim), (3, 0));
